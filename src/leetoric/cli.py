@@ -17,7 +17,7 @@ from .interleave import verify_burst_correction
 from .lattices import IntMatrix, coset_count, verify_chain
 from .lee import decode_nearest, enumerate_codewords, minimum_distance, tiling_check
 from .report import FORMATS, certificate_json, emit_tables, make_certificate
-from .toric import commutation_check, new_code_params
+from .toric import commutation_check, new_code_params, stabilizer_counts
 
 
 def _parse_vector(text: str) -> tuple[int, ...]:
@@ -117,7 +117,7 @@ def _cmd_stabilizers(args: argparse.Namespace) -> int:
         claim="stabilizer-commutation",
         inputs={"q": args.q, "n": args.n},
         passed=ok,
-        counts={},
+        counts=stabilizer_counts(args.q, args.n),
     )
     return _emit(cert)
 
@@ -241,3 +241,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
 
 def main() -> None:
     raise SystemExit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

@@ -17,17 +17,12 @@ from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from decimal import Decimal
 from fractions import Fraction
-from importlib.metadata import PackageNotFoundError, version as _dist_version
 from typing import Optional
 
+from ._version import __version__
 from .instances import CERTIFIED
 from .interleave import interleaved_params
 from .toric import CodeParams, literature_params, new_code_params
-
-try:
-    ARTIFACT_VERSION = _dist_version("leetoric")
-except PackageNotFoundError:
-    ARTIFACT_VERSION = "0.0.0.dev0"
 
 FORMATS = ("markdown", "csv", "json-lines")
 
@@ -238,7 +233,7 @@ def make_certificate(
         inputs=inputs,
         passed=bool(passed),
         counts=counts or {},
-        version=ARTIFACT_VERSION,
+        version=__version__,
         generated_at=datetime.now(timezone.utc).isoformat(),
     )
 

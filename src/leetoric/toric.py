@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Optional, Sequence
+from math import comb
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
 
 Vec = tuple[int, ...]
 
@@ -181,34 +181,111 @@ def boundary_support(q: int, n: int, anchor: Cell) -> StabilizerSupport:
     return StabilizerSupport(kind="Z", anchor=anchor, support=tuple(sorted(idx)))
 
 
-def _support_matrix(q: int, n: int, kind: str) -> coo_matrix:
-    # One row per anchor cell, one column per qubit cell.
+# Refuse a commutation check whose overlap gather would exceed this many
+# (Z generator, qubit, X generator) incidences; (9, 4) needs 629,856.
+MAX_INCIDENCES = 2**23
+
+
+def stabilizer_counts(q: int, n: int) -> dict:
+    """Sizes of the commutation check on the q^n torus, from (q, n) alone.
+
+    incidences_checked counts the (Z generator, qubit, X generator) triples
+    the overlap gather visits: every Z support has 2(k + 1) qubit cells and
+    every qubit cell has 2k facets, each the anchor of one X generator.
+    """
+    if q < 2 or n < 2:
+        raise ValueError("need q >= 2 and n >= 2")
     k = qubit_cell_dim(n)
-    dim = k - 1 if kind == "X" else k + 1
-    build = star_support if kind == "X" else boundary_support
-    anchors = [
-        Cell(position=pos, axes=axes)
-        for axes in axes_tuples(n, dim)
-        for pos in product(range(q), repeat=n)
-    ]
-    rows, cols = [], []
-    for r, anchor in enumerate(anchors):
-        for c in build(q, n, anchor).support:
-            rows.append(r)
-            cols.append(c)
-    n_qubits = len(axes_tuples(n, k)) * q**n
-    data = np.ones(len(rows), dtype=np.int64)
-    return coo_matrix((data, (rows, cols)), shape=(len(anchors), n_qubits))
+    cells = q**n
+    z_generators = comb(n, k + 1) * cells
+    return {
+        "qubits": comb(n, k) * cells,
+        "x_generators": comb(n, k - 1) * cells,
+        "z_generators": z_generators,
+        "incidences_checked": z_generators * 2 * (k + 1) * 2 * k,
+    }
+
+
+def _step(rank: np.ndarray, radix: int, q: int, delta: int) -> np.ndarray:
+    # Move every position one step along the axis with this radix, mod q.
+    digit = rank // radix % q
+    return rank + ((digit + delta) % q - digit) * radix
+
+
+def support_rows(q: int, n: int, kind: str) -> np.ndarray:
+    """All X (star) or Z (boundary) supports, one sorted row per anchor.
+
+    Anchors are ordered as enumerate_faces orders qubit cells: axes
+    lexicographic, then positions row-major.  Row i equals the support that
+    star_support / boundary_support builds for the i-th anchor.
+    """
+    k = qubit_cell_dim(n)
+    if kind not in ("X", "Z"):
+        raise ValueError("kind must be 'X' or 'Z'")
+    cells = q**n
+    face_block = {axes: i * cells for i, axes in enumerate(axes_tuples(n, k))}
+    radix = [q ** (n - 1 - a) for a in range(n)]
+    rank = np.arange(cells, dtype=np.int64)
+    blocks = []
+    for axes in axes_tuples(n, k - 1 if kind == "X" else k + 1):
+        cols = []
+        for a in range(n):
+            if kind == "X" and a not in axes:
+                base = face_block[tuple(sorted(axes + (a,)))]
+                cols += [base + rank, base + _step(rank, radix[a], q, -1)]
+            elif kind == "Z" and a in axes:
+                base = face_block[tuple(x for x in axes if x != a)]
+                cols += [base + rank, base + _step(rank, radix[a], q, 1)]
+        blocks.append(np.stack(cols, axis=1))
+    return np.sort(np.concatenate(blocks), axis=1)
+
+
+def overlap_multiplicities(
+    q: int, n: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Nonzero entries of hx·hzᵀ as (z_row, x_row, multiplicity) arrays.
+
+    Each Z row gathers the X rows of its qubit cells through a face -> X-row
+    incidence, and a pair's multiplicity is the number of shared qubit
+    cells.  One Z axes-block (q^n rows) is gathered and yielded at a time.
+    """
+    xrows = support_rows(q, n, "X")
+    zrows = support_rows(q, n, "Z")
+    n_faces = stabilizer_counts(q, n)["qubits"]
+    flat = xrows.ravel()
+    starts = np.zeros(n_faces + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flat, minlength=n_faces), out=starts[1:])
+    members = np.argsort(flat, kind="stable") // xrows.shape[1]
+    n_x = len(xrows)
+    for z0 in range(0, len(zrows), q**n):
+        block = zrows[z0 : z0 + q**n]
+        faces = block.ravel()
+        lengths = starts[faces + 1] - starts[faces]
+        ends = np.cumsum(lengths)
+        gather = np.repeat(starts[faces] - ends + lengths, lengths)
+        gather += np.arange(ends[-1], dtype=np.int64)
+        z = np.repeat(np.arange(z0, z0 + len(block)), block.shape[1])
+        keys = np.repeat(z, lengths) * n_x + members[gather]
+        pairs, multiplicity = np.unique(keys, return_counts=True)
+        yield pairs // n_x, pairs % n_x, multiplicity
 
 
 def commutation_check(q: int, n: int) -> bool:
-    """Whether every X-type and Z-type pair overlaps on an even qubit count."""
-    if q < 2 or n < 2:
-        raise ValueError("need q >= 2 and n >= 2")
-    hx = _support_matrix(q, n, "X").tocsr()
-    hz = _support_matrix(q, n, "Z").tocsr()
-    overlap = hx @ hz.T
-    return not np.any(overlap.data % 2)
+    """Whether every X-type and Z-type pair overlaps on an even qubit count.
+
+    Raises ValueError, before allocating anything, when the check would
+    visit more than MAX_INCIDENCES incidences.
+    """
+    work = stabilizer_counts(q, n)["incidences_checked"]
+    if work > MAX_INCIDENCES:
+        raise ValueError(
+            f"the {q}^{n} torus needs {work} incidences, over the limit of "
+            f"{MAX_INCIDENCES}"
+        )
+    return all(
+        not np.any(multiplicity % 2)
+        for _, _, multiplicity in overlap_multiplicities(q, n)
+    )
 
 
 def literature_params(q: int, n: int) -> CodeParams:

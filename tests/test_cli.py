@@ -1,11 +1,25 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from leetoric import emit_tables
+import leetoric
+from leetoric import emit_tables, toric
 from leetoric.cli import main, run_cli
+
+SRC = str(Path(leetoric.__file__).resolve().parents[1])
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+    )
 
 
 def run_and_parse(capsys, argv):
@@ -54,9 +68,32 @@ def test_mindist_uncertified_is_usage_error(capsys):
 
 
 def test_verify_stabilizers(capsys):
-    code, cert = run_and_parse(capsys, ["verify", "stabilizers", "--q", "5", "--n", "2"])
-    assert code == 0
-    assert cert["passed"] is True
+    for q, n, qubits, generators, incidences in [
+        (5, 2, 50, 25, 200),
+        (9, 4, 39366, 26244, 629856),
+    ]:
+        argv = ["verify", "stabilizers", "--q", str(q), "--n", str(n)]
+        code, cert = run_and_parse(capsys, argv)
+        assert code == 0
+        assert cert["passed"] is True
+        assert cert["counts"] == {
+            "qubits": qubits,
+            "x_generators": generators,
+            "z_generators": generators,
+            "incidences_checked": incidences,
+        }
+
+
+@pytest.mark.parametrize("n", ["4", "40"])
+def test_verify_stabilizers_refuses_oversized_torus(capsys, monkeypatch, n):
+    def no_allocation(*args):
+        raise AssertionError("support rows built past the work limit")
+
+    monkeypatch.setattr(toric, "support_rows", no_allocation)
+    assert run_cli(["verify", "stabilizers", "--q", "50", "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"over the limit of {toric.MAX_INCIDENCES}" in captured.err
 
 
 def test_interleave_verify_exhaustive(capsys):
@@ -141,3 +178,24 @@ def test_help_exits_zero():
 def test_main_raises_system_exit():
     with pytest.raises(SystemExit):
         main()
+
+
+@pytest.mark.parametrize("module", ["leetoric", "leetoric.cli"])
+def test_python_dash_m(module):
+    proc = run_python("-m", module, "tables", "--format", "csv")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == emit_tables("csv")
+    proc = run_python("-m", module, "bogus")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+
+
+def test_import_pulls_in_no_scipy_or_dist_metadata():
+    code = (
+        "import sys, leetoric\n"
+        "print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'scipy' or m == 'importlib.metadata'))"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

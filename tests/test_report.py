@@ -7,6 +7,7 @@ import pytest
 
 from leetoric import (
     CodeParams,
+    __version__,
     emit_tables,
     interleaved_params,
     literature_params,
@@ -143,7 +144,7 @@ def test_certificate_fields_and_serialization():
     loaded = json.loads(certificate_json(cert))
     assert loaded["inputs"] == {"q": 7, "n": 3}
     assert loaded["counts"] == {"codewords": 49}
-    assert isinstance(loaded["version"], str)
+    assert loaded["version"] == __version__
     assert "generated_at" in loaded
 
 

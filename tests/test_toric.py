@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from leetoric import (
@@ -20,7 +21,17 @@ from leetoric import (
     new_code_params,
     star_support,
 )
-from leetoric.toric import position_rank, position_unrank, qubit_cell_dim
+from leetoric import toric
+from leetoric.toric import (
+    MAX_INCIDENCES,
+    axes_tuples,
+    overlap_multiplicities,
+    position_rank,
+    position_unrank,
+    qubit_cell_dim,
+    stabilizer_counts,
+    support_rows,
+)
 
 
 def cell_vertices(cell: Cell, q: int) -> frozenset:
@@ -185,6 +196,106 @@ def test_commutation_matches_brute_force_2d(q):
     )
     assert parity_ok == commutation_check(q, 2)
     assert parity_ok
+
+
+def per_cell_supports(q: int, n: int, kind: str) -> list:
+    """One support per anchor from the per-cell builders, in anchor order."""
+    k = qubit_cell_dim(n)
+    dim, build = (k - 1, star_support) if kind == "X" else (k + 1, boundary_support)
+    return [
+        list(build(q, n, Cell(pos, axes)).support)
+        for axes in axes_tuples(n, dim)
+        for pos in product(range(q), repeat=n)
+    ]
+
+
+@pytest.mark.parametrize("q,n", [(5, 2), (2, 3), (7, 3), (3, 4)])
+@pytest.mark.parametrize("kind", ["X", "Z"])
+def test_support_rows_match_per_cell_builders(q, n, kind):
+    rows = support_rows(q, n, kind)
+    assert rows.dtype == np.int64
+    assert rows.tolist() == per_cell_supports(q, n, kind)
+
+
+def test_support_rows_match_per_cell_builders_sampled_9_4():
+    q, n = 9, 4
+    rng = random.Random(94)
+    for kind, dim, build in (("X", 1, star_support), ("Z", 3, boundary_support)):
+        rows = support_rows(q, n, kind)
+        blocks = axes_tuples(n, dim)
+        assert rows.shape == (len(blocks) * q**n, 6)
+        for _ in range(200):
+            i = rng.randrange(len(rows))
+            b, r = divmod(i, q**n)
+            anchor = Cell(position_unrank(r, q, n), blocks[b])
+            assert tuple(rows[i]) == build(q, n, anchor).support
+
+
+def test_support_rows_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="kind"):
+        support_rows(3, 3, "Y")
+
+
+def test_overlap_multiplicities_equal_dense_product():
+    q, n = 3, 3
+    n_faces = len(enumerate_faces(q, n))
+
+    def dense(kind):
+        supports = per_cell_supports(q, n, kind)
+        h = np.zeros((len(supports), n_faces), dtype=np.int64)
+        for r, support in enumerate(supports):
+            h[r, support] = 1
+        return h
+
+    hx, hz = dense("X"), dense("Z")
+    overlaps = np.zeros((len(hx), len(hz)), dtype=np.int64)
+    for z, x, multiplicity in overlap_multiplicities(q, n):
+        assert np.all(multiplicity > 0)
+        overlaps[x, z] = multiplicity
+    assert np.array_equal(overlaps, hx @ hz.T)
+    assert overlaps.any()
+
+
+@pytest.mark.parametrize("q,n", [(5, 2), (7, 3), (9, 4)])
+def test_commutation_check_detects_doctored_support(monkeypatch, q, n):
+    original = toric.support_rows
+
+    def doctored(q, n, kind):
+        rows = original(q, n, kind)
+        if kind == "Z":
+            # move one qubit of the first Z support to a qubit it lacks
+            rows[0, 0] = next(f for f in range(q**n) if f not in rows[0])
+        return rows
+
+    assert commutation_check(q, n)
+    monkeypatch.setattr(toric, "support_rows", doctored)
+    assert not commutation_check(q, n)
+
+
+@pytest.mark.parametrize(
+    "q,n,counts",
+    [
+        (5, 2, (50, 25, 25, 200)),
+        (7, 3, (1029, 1029, 343, 8232)),
+        (9, 4, (39366, 26244, 26244, 629856)),
+    ],
+)
+def test_stabilizer_counts(q, n, counts):
+    got = stabilizer_counts(q, n)
+    assert tuple(got.values()) == counts
+    assert got["qubits"] == len(enumerate_faces(q, n))
+    assert got["x_generators"] == len(support_rows(q, n, "X"))
+    assert got["z_generators"] == len(support_rows(q, n, "Z"))
+    gathered = sum(int(m.sum()) for _, _, m in overlap_multiplicities(q, n))
+    assert got["incidences_checked"] == gathered
+
+
+def test_work_limit_leaves_headroom_and_sizes_are_validated():
+    assert stabilizer_counts(9, 4)["incidences_checked"] * 10 <= MAX_INCIDENCES
+    with pytest.raises(ValueError):
+        stabilizer_counts(1, 3)
+    with pytest.raises(ValueError):
+        commutation_check(5, 1)
 
 
 def test_literature_params_frozen():
