@@ -6,27 +6,31 @@ one of its owned faces).  Logical index (j, b, i) goes to the hypercube
 sitting at codeword_i + offset_j, so every hypercube carries qubits of a
 single cross-section, namely the one matching its own offset label inside
 its Lee-sphere tile.  A burst confined to one tile therefore touches each
-cross-section at most once, which is exactly what the sweeps below certify:
-exhaustively in 3D, and by seeded sampling plus deterministic extremal
-patterns in 4D, where the full pattern space is out of desk-scale reach.
+cross-section at most once, which is exactly what the sweeps below certify.
 
 Error patterns are sets of face indices in the toric module's numbering.
 A burst at an anchor may err at most one face per hypercube of the tile
 {anchor + offsets}; constituent code blocks correct one error each, so a
-pattern is correctable exactly when no block sees two.
+pattern is correctable exactly when no block sees two.  Every slot of a
+hypercube belongs to the same block, so a pattern's verdict depends only on
+its mask of hit tile cells: the (alpha+1)^(2n+1) patterns of a tile collapse
+to 2^(2n+1) masks, mask m standing for alpha^|m| patterns.  That makes the
+exhaustive sweep cheap on both certified instances; seeded sampling plus
+extremal patterns remains the default in 4D.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from .instances import certified_code, require_certified
-from .lee import LeeCode, lee_sphere, tiling_check
+from .lee import LeeCode, lee_sphere
 from .toric import (
     Cell,
     CodeParams,
@@ -34,13 +38,20 @@ from .toric import (
     face_from_index,
     face_index,
     face_owner,
-    position_rank,
     qubit_cell_dim,
 )
 
 Vec = tuple[int, ...]
 
 RNG_ALGORITHM = "numpy-pcg64"
+
+# Sampled sweeps refuse more draws than this, which bounds their run time;
+# exhaustive mode checks every pattern for less than such a sample costs.
+MAX_SAMPLES = 10**8
+
+# Sampled draws are judged this many at a time, which bounds the sweep's
+# working memory whatever the sample count.
+_DRAW_CHUNK = 2**14
 
 
 @dataclass(frozen=True)
@@ -62,13 +73,33 @@ class PhysicalSlot:
 
 @dataclass(frozen=True)
 class InterleaverMap:
-    """Mutually inverse dictionaries between logical and physical indexing."""
+    """The interleaver of a perfect code, held as rank arrays.
+
+    hypercube_rank[j, i] is the row-major rank of the hypercube
+    codeword_i + offset_j, and block_of[r] is the constituent code block
+    j * ceil(|C| / q) + i div q that owns every slot of hypercube r.  The
+    forward and inverse dictionaries are built from them on first access.
+    """
 
     q: int
     n: int
     alpha: int
-    forward: dict[LogicalIndex, PhysicalSlot]
-    inverse: dict[PhysicalSlot, LogicalIndex]
+    hypercube_rank: np.ndarray = field(compare=False)
+    block_of: np.ndarray = field(compare=False)
+
+    @cached_property
+    def forward(self) -> dict[LogicalIndex, PhysicalSlot]:
+        coords = (self.hypercube_rank[..., None] // _radix(self.q, self.n)) % self.q
+        return {
+            LogicalIndex(j, b, i): PhysicalSlot(hyper, b)
+            for j, section in enumerate(coords.tolist())
+            for i, hyper in enumerate(map(tuple, section))
+            for b in range(self.alpha)
+        }
+
+    @cached_property
+    def inverse(self) -> dict[PhysicalSlot, LogicalIndex]:
+        return {ps: li for li, ps in self.forward.items()}
 
 
 @dataclass(frozen=True)
@@ -87,7 +118,15 @@ class CorrectionVerdict:
 
 @dataclass(frozen=True)
 class BurstSweepSummary:
-    """Reproducible record of one verification sweep."""
+    """Reproducible record of one verification sweep.
+
+    method names how patterns were judged: "mask-quotient" evaluates every
+    anchor's 2^(2n+1) masks of hit tile cells, each standing for the
+    alpha^|mask| patterns hitting exactly those cells, and masks_checked
+    counts those (anchor, mask) pairs, anchors whose tiles split into blocks
+    alike sharing one evaluation; "sampled-masks" judges each drawn and
+    extremal pattern by its mask, and masks_checked is None.
+    """
 
     q: int
     n: int
@@ -99,6 +138,8 @@ class BurstSweepSummary:
     patterns_checked: int
     failures: int
     max_block_errors: int
+    method: str
+    masks_checked: Optional[int]
 
 
 def code_block(index: LogicalIndex, q: int) -> tuple[int, int]:
@@ -106,28 +147,38 @@ def code_block(index: LogicalIndex, q: int) -> tuple[int, int]:
     return index.cross_section, index.codeword_index // q
 
 
+def _radix(q: int, n: int) -> np.ndarray:
+    return q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+
+
+def _sphere_ranks(points: np.ndarray, q: int, n: int) -> np.ndarray:
+    # ranks[p, k] = row-major rank of points[p] + k-th sphere offset, mod q
+    offsets = np.array(lee_sphere(n).offsets, dtype=np.int64)
+    return ((points[:, None, :] + offsets) % q) @ _radix(q, n)
+
+
 def build_interleaver(code: LeeCode) -> InterleaverMap:
     """Bijection between logical indices and physical slots of a perfect code.
 
     Codeword order is the enumeration order of the code (null codeword
     first), offsets follow the fixed sphere order, and the slot b selects
-    among each hypercube's owned faces in axes-lexicographic order.
+    among each hypercube's owned faces in axes-lexicographic order.  The
+    code is perfect exactly when the spheres hit every hypercube once.
     """
-    if not tiling_check(code):
-        raise ValueError("interleaver requires a perfect code")
     q, n = code.q, code.n
+    words = np.array(code.codewords, dtype=np.int64).reshape(-1, n)
+    hypercube_rank = _sphere_ranks(words, q, n).T
+    if np.any(np.bincount(hypercube_rank.ravel(), minlength=q**n) != 1):
+        raise ValueError("interleaver requires a perfect code")
+    sections = np.arange(hypercube_rank.shape[0])[:, None]
+    block_of = np.empty(q**n, dtype=np.int64)
+    block_of[hypercube_rank] = (
+        sections * math.ceil(len(words) / q) + np.arange(len(words)) // q
+    )
     alpha = len(axes_tuples(n, qubit_cell_dim(n)))
-    forward: dict[LogicalIndex, PhysicalSlot] = {}
-    inverse: dict[PhysicalSlot, LogicalIndex] = {}
-    for j, off in enumerate(lee_sphere(n).offsets):
-        for i, c in enumerate(code.codewords):
-            hyper = tuple((a + b) % q for a, b in zip(c, off))
-            for b in range(alpha):
-                li = LogicalIndex(cross_section=j, block=b, codeword_index=i)
-                ps = PhysicalSlot(hypercube=hyper, slot=b)
-                forward[li] = ps
-                inverse[ps] = li
-    return InterleaverMap(q=q, n=n, alpha=alpha, forward=forward, inverse=inverse)
+    return InterleaverMap(
+        q=q, n=n, alpha=alpha, hypercube_rank=hypercube_rank, block_of=block_of
+    )
 
 
 def slot_to_face_index(q: int, n: int, ps: PhysicalSlot) -> int:
@@ -213,48 +264,13 @@ def enumerate_bursts(
             yield _pattern(anchor, faces, vec)
 
 
-def _block_assignment(imap: InterleaverMap) -> tuple[np.ndarray, int]:
-    # Route every physical slot through the real inverse map and check that
-    # the resulting code block depends on the owner hypercube alone; that
-    # factorization is what lets the sweeps below batch over slot choices.
+def _tile_classes(imap: InterleaverMap) -> np.ndarray:
+    # cls[a, k] = bitmask of the cells of anchor a's tile in cell k's block
     q, n = imap.q, imap.n
-    blocks: dict[tuple[int, int], int] = {}
-    arr = np.full(q**n, -1, dtype=np.int64)
-    for ps, li in imap.inverse.items():
-        key = code_block(li, q)
-        b = blocks.setdefault(key, len(blocks))
-        r = position_rank(ps.hypercube, q)
-        if arr[r] == -1:
-            arr[r] = b
-        elif arr[r] != b:
-            raise AssertionError("code block is not constant per hypercube")
-    if np.any(arr < 0):
-        raise AssertionError("hypercube with no mapped slots")
-    return arr, len(blocks)
-
-
-def _anchor_block_rows(q: int, n: int, block_of: np.ndarray) -> np.ndarray:
-    # Row a = block ids of the 2n+1 tile hypercubes for anchor rank a.
-    anchors = np.array(all_burst_translates(q, n), dtype=np.int64)
-    radix = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    cols = []
-    for off in lee_sphere(n).offsets:
-        ranks = ((anchors + np.array(off, dtype=np.int64)) % q) @ radix
-        cols.append(block_of[ranks])
-    return np.stack(cols, axis=1)
-
-
-def _max_and_failures(
-    errored: np.ndarray, beta: np.ndarray, n_blocks: int
-) -> tuple[int, int]:
-    # errored: patterns x sphere in {0,1}; beta: block id per tile position.
-    # Per-block counts via one matmul; entries are tiny so float32 is exact.
-    sphere = beta.shape[0]
-    onehot = np.zeros((sphere, n_blocks), dtype=np.float32)
-    onehot[np.arange(sphere), beta] = 1.0
-    counts = errored @ onehot
-    worst = counts.max(axis=1)
-    return int(worst.max()), int(np.count_nonzero(worst >= 2.0))
+    anchors = np.indices((q,) * n).reshape(n, -1).T
+    blocks = imap.block_of[_sphere_ranks(anchors, q, n)]
+    same = blocks[:, :, None] == blocks[:, None, :]
+    return same @ (1 << np.arange(blocks.shape[1]))
 
 
 def verify_burst_correction(
@@ -267,11 +283,14 @@ def verify_burst_correction(
 ) -> BurstSweepSummary:
     """Sweep Lee-sphere bursts over every translate and count failures.
 
-    Exhaustive mode checks all (alpha+1)^(2n+1) per-tile patterns for every
-    anchor; it is the default for (7, 3) and rejected as out of desk scale
-    for (9, 4), where the default is one million seeded samples spread
-    evenly over the anchors, plus the all-cells-errored extremal pattern of
-    every slot for every anchor.  Failures are reported, not raised.
+    Exhaustive mode accounts for all (alpha+1)^(2n+1) per-tile patterns of
+    every anchor through their 2^(2n+1) hit-cell masks; it is the default
+    for (7, 3).  For (9, 4) the default is one million seeded samples
+    spread evenly over the anchors (at most MAX_SAMPLES), plus the
+    all-cells-errored extremal pattern of every slot for every anchor.  A
+    pattern with mask m sees max_k |m & cls[k]| errors in its fullest
+    block, cls[k] being the tile cells sharing cell k's block.  Failures
+    are reported, not raised.
     """
     require_certified(q, n)
     if exhaustive and samples is not None:
@@ -279,51 +298,58 @@ def verify_burst_correction(
     if exhaustive is None and samples is None:
         exhaustive = (q, n) == (7, 3)
     if exhaustive:
-        if (q, n) != (7, 3):
-            raise ValueError(
-                "exhaustive sweep is not desk-scale here; use sampled mode"
-            )
         samples = None
     elif samples is None:
         samples = 1_000_000
     elif samples < 1:
         raise ValueError("sample count must be positive")
+    elif samples > MAX_SAMPLES:
+        raise ValueError(
+            f"sample count {samples} is over the limit of {MAX_SAMPLES}; "
+            "use exhaustive mode"
+        )
 
     imap = build_interleaver(certified_code(q, n))
-    block_of, n_blocks = _block_assignment(imap)
-    rows = _anchor_block_rows(q, n, block_of)
-    sphere = rows.shape[1]
+    cls = _tile_classes(imap)
+    anchors, sphere = cls.shape
     alpha = imap.alpha
+    masks = np.arange(2**sphere)
+    popcount = ((masks[:, None] >> np.arange(sphere)) & 1).sum(axis=1)
+    # Anchors with equal class rows share every verdict: worst[m, u] is the
+    # error count of the fullest block when mask m hits a tile of class u.
+    rows, row_of, mult = np.unique(cls, axis=0, return_inverse=True, return_counts=True)
+    row_of = row_of.ravel()
+    worst = popcount[masks[:, None, None] & rows].max(axis=-1)
 
-    patterns = 0
-    failures = 0
-    max_block = 0
     if exhaustive:
-        choices = np.array(
-            list(product(range(alpha + 1), repeat=sphere)), dtype=np.uint8
-        )
-        errored = (choices > 0).astype(np.float32)
-        for a in range(q**n):
-            mx, bad = _max_and_failures(errored, rows[a], n_blocks)
-            max_block = max(max_block, mx)
-            failures += bad
-            patterns += errored.shape[0]
-        mode, used_seed, used_rng = "exhaustive", None, None
+        weight = alpha**popcount
+        failures = int(((worst >= 2) * weight[:, None] * mult).sum())
+        max_block = int(worst.max())
+        patterns = anchors * int(weight.sum())
+        masks_checked = anchors * masks.size
+        mode, method = "exhaustive", "mask-quotient"
+        used_seed, used_rng = None, None
     else:
-        per_anchor = math.ceil(samples / q**n)
-        extremal = np.full((alpha, sphere), 0, dtype=np.uint8)
-        for s in range(alpha):
-            extremal[s, :] = s + 1
+        # the alpha extremal patterns of an anchor all hit every tile cell
+        extremal = worst[-1, row_of]
+        failures = alpha * int(np.count_nonzero(extremal >= 2))
+        max_block = int(extremal.max())
+        per_anchor = math.ceil(samples / anchors)
+        draws = anchors * per_anchor
+        bits = 1 << np.arange(sphere)
         rng = np.random.default_rng(seed)
-        for a in range(q**n):
-            draws = rng.integers(0, alpha + 1, size=(per_anchor, sphere))
-            vecs = np.vstack([extremal, draws.astype(np.uint8)])
-            errored = (vecs > 0).astype(np.float32)
-            mx, bad = _max_and_failures(errored, rows[a], n_blocks)
-            max_block = max(max_block, mx)
-            failures += bad
-            patterns += vecs.shape[0]
-        mode, used_seed, used_rng = "sampled", seed, RNG_ALGORITHM
+        for lo in range(0, draws, _DRAW_CHUNK):
+            hi = min(lo + _DRAW_CHUNK, draws)
+            # one call over consecutive draws yields the same stream as one
+            # call per anchor; draw d belongs to anchor d // per_anchor
+            vecs = rng.integers(0, alpha + 1, size=(hi - lo, sphere))
+            drawn = worst[(vecs > 0) @ bits, row_of[np.arange(lo, hi) // per_anchor]]
+            failures += int(np.count_nonzero(drawn >= 2))
+            max_block = max(max_block, int(drawn.max()))
+        patterns = anchors * (alpha + per_anchor)
+        masks_checked = None
+        mode, method = "sampled", "sampled-masks"
+        used_seed, used_rng = seed, RNG_ALGORITHM
 
     return BurstSweepSummary(
         q=q,
@@ -332,10 +358,12 @@ def verify_burst_correction(
         samples=samples,
         seed=used_seed,
         rng_algorithm=used_rng,
-        translates=q**n,
+        translates=anchors,
         patterns_checked=patterns,
         failures=failures,
         max_block_errors=max_block,
+        method=method,
+        masks_checked=masks_checked,
     )
 
 

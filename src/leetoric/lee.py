@@ -16,6 +16,10 @@ from typing import Sequence
 
 Vec = tuple[int, ...]
 
+# Refuse a space Z_q^n of more points than this: the closure and the tiling
+# check keep per-point state.  (9, 4) has 6,561 points.
+MAX_POINTS = 2**20
+
 
 @dataclass(frozen=True, eq=False)
 class LeeCode:
@@ -65,6 +69,11 @@ def mannheim_weight(v: Sequence[int], q: int) -> int:
     return sum(abs(symmetric_residue(x, q)) for x in v)
 
 
+def _require_points(q: int, n: int) -> None:
+    if q**n > MAX_POINTS:
+        raise ValueError(f"{q}^{n} points is over the limit of {MAX_POINTS}")
+
+
 def enumerate_codewords(generators: Sequence[Sequence[int]], q: int, n: int) -> LeeCode:
     """Additive closure mod q of the generators, in deterministic BFS order.
 
@@ -77,6 +86,7 @@ def enumerate_codewords(generators: Sequence[Sequence[int]], q: int, n: int) -> 
         raise ValueError("generators must be nonempty")
     if q < 2:
         raise ValueError("modulus must be at least 2")
+    _require_points(q, n)
     gens = []
     for g in generators:
         if len(g) != n:
@@ -131,6 +141,7 @@ def _rank(point: Vec, q: int) -> int:
 def tiling_check(code: LeeCode) -> bool:
     """True iff the radius-1 spheres around the codewords tile Z_q^n exactly."""
     q, n = code.q, code.n
+    _require_points(q, n)
     offsets = lee_sphere(n).offsets
     cover = bytearray(q**n)
     placed = 0

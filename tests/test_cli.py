@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import leetoric
-from leetoric import emit_tables, toric
+from leetoric import emit_tables, interleave, lee, toric
 from leetoric.cli import main, run_cli
 
 SRC = str(Path(leetoric.__file__).resolve().parents[1])
@@ -53,6 +53,16 @@ def test_verify_tiling_pass_and_forced_failure(capsys):
     )
     assert code == 1
     assert cert["passed"] is False
+
+
+@pytest.mark.parametrize("n", [4, 40])
+def test_verify_tiling_refuses_oversized_space(capsys, n):
+    generators = ",".join(["1"] + ["0"] * (n - 1))
+    argv = ["verify", "tiling", "--q", "50", "--n", str(n), "--generators", generators]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"over the limit of {lee.MAX_POINTS}" in captured.err
 
 
 def test_mindist_certified(capsys):
@@ -103,6 +113,21 @@ def test_interleave_verify_exhaustive(capsys):
     assert code == 0
     assert cert["counts"]["patterns_checked"] == 5_619_712
     assert cert["counts"]["failures"] == 0
+    assert cert["counts"]["method"] == "mask-quotient"
+    assert cert["counts"]["masks_checked"] == 343 * 2**7 == 43_904
+
+
+def test_interleave_verify_exhaustive_4d(capsys):
+    code, cert = run_and_parse(
+        capsys, ["interleave", "verify", "--q", "9", "--n", "4", "--exhaustive"]
+    )
+    assert code == 0
+    assert cert["inputs"]["mode"] == "exhaustive"
+    assert cert["counts"]["patterns_checked"] == 6561 * 7**9 == 264_760_015_527
+    assert cert["counts"]["failures"] == 0
+    assert cert["counts"]["max_block_errors"] == 1
+    assert cert["counts"]["method"] == "mask-quotient"
+    assert cert["counts"]["masks_checked"] == 6561 * 2**9 == 3_359_232
 
 
 def test_interleave_verify_sampled(capsys):
@@ -115,11 +140,20 @@ def test_interleave_verify_sampled(capsys):
     assert cert["inputs"]["mode"] == "sampled"
     assert cert["counts"]["failures"] == 0
     assert cert["counts"]["rng_algorithm"] == "numpy-pcg64"
+    assert cert["counts"]["method"] == "sampled-masks"
+    assert cert["counts"]["masks_checked"] is None
 
 
-def test_interleave_verify_rejects_exhaustive_4d(capsys):
-    assert run_cli(["interleave", "verify", "--q", "9", "--n", "4", "--exhaustive"]) == 2
-    assert "desk-scale" in capsys.readouterr().err
+def test_interleave_verify_refuses_oversized_sample(capsys, monkeypatch):
+    def no_allocation(*args):
+        raise AssertionError("interleaver built past the sample limit")
+
+    monkeypatch.setattr(interleave, "build_interleaver", no_allocation)
+    argv = ["interleave", "verify", "--q", "9", "--n", "4", "--samples", str(10**14)]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"over the limit of {interleave.MAX_SAMPLES}" in captured.err
 
 
 def test_interleave_verify_mutually_exclusive_modes():

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import random
-from dataclasses import asdict
+from dataclasses import asdict, replace
+from itertools import product
 
+import numpy as np
 import pytest
 
 from leetoric import (
@@ -10,6 +12,7 @@ from leetoric import (
     PhysicalSlot,
     all_burst_translates,
     build_interleaver,
+    certified_code,
     code_block,
     decode_nearest,
     deinterleave,
@@ -19,7 +22,9 @@ from leetoric import (
     lee_sphere,
     verify_burst_correction,
 )
+from leetoric import interleave
 from leetoric.interleave import face_index_to_slot, slot_to_face_index
+from leetoric.toric import position_rank
 
 
 def test_map_sizes_and_alpha(imap3, imap4):
@@ -38,6 +43,44 @@ def test_forward_frozen_examples(imap3, code3):
         for b in range(imap3.alpha):
             ps = imap3.forward[LogicalIndex(1, b, i)]
             assert ps.hypercube == expected and ps.slot == b
+
+
+def test_forward_matches_literal_construction(imap3, code3, imap4, code4):
+    for imap, code in ((imap3, code3), (imap4, code4)):
+        q = code.q
+        expected = {
+            LogicalIndex(j, b, i): PhysicalSlot(
+                tuple((a + o) % q for a, o in zip(c, off)), b
+            )
+            for j, off in enumerate(lee_sphere(code.n).offsets)
+            for i, c in enumerate(code.codewords)
+            for b in range(imap.alpha)
+        }
+        assert list(imap.forward.items()) == list(expected.items())
+
+
+def _routed_blocks(imap) -> list[int]:
+    # Block id per hypercube rank, found by routing every physical slot
+    # through the inverse map; the block must be constant per hypercube.
+    blocks: dict[tuple[int, int], int] = {}
+    routed: list = [None] * imap.q**imap.n
+    for ps, li in imap.inverse.items():
+        b = blocks.setdefault(code_block(li, imap.q), len(blocks))
+        r = position_rank(ps.hypercube, imap.q)
+        assert routed[r] in (None, b), "code block is not constant per hypercube"
+        routed[r] = b
+    assert None not in routed
+    return routed
+
+
+def test_block_of_matches_routed_blocks(imap3, imap4):
+    for imap in (imap3, imap4):
+        routed = _routed_blocks(imap)
+        block_of = imap.block_of.tolist()
+        # equal partitions: the two labelings correspond one to one
+        pairs = set(zip(routed, block_of))
+        assert len(pairs) == len(set(routed)) == len(set(block_of))
+        assert len(pairs) == imap.q ** (imap.n - 1)
 
 
 def test_bijection_exhaustive(imap3, imap4):
@@ -230,9 +273,81 @@ def test_sweep_4d_sampled_summary_and_reproducibility():
     assert s1.max_block_errors == 1
 
 
+def test_sweep_4d_exhaustive_summary():
+    s = verify_burst_correction(9, 4, exhaustive=True)
+    assert s.mode == "exhaustive" and s.method == "mask-quotient"
+    assert s.translates == 6561
+    assert s.patterns_checked == 6561 * 7**9 == 264_760_015_527
+    assert s.masks_checked == 6561 * 2**9
+    assert s.failures == 0
+    assert s.max_block_errors == 1
+
+
+def _doctored(q: int, n: int, tiles: int, seed: int):
+    # The certified interleaver with two cells of each of some tiles merged
+    # into one block, so bursts hitting both cells defeat that block.
+    imap = build_interleaver(certified_code(q, n))
+    block_of = imap.block_of.copy()
+    rng = random.Random(seed)
+    anchors = all_burst_translates(q, n)
+    for _ in range(tiles):
+        anchor = rng.choice(anchors)
+        first, second = (
+            position_rank([a + o for a, o in zip(anchor, off)], q)
+            for off in rng.sample(lee_sphere(n).offsets, 2)
+        )
+        block_of[second] = block_of[first]
+    return replace(imap, block_of=block_of)
+
+
+def _oracle_worst(imap, anchor, vecs: np.ndarray) -> np.ndarray:
+    # Errors in the fullest block of each pattern (row of choices, 0 = no
+    # error on that tile cell), by tallying the blocks of the errored cells.
+    q, blocks = imap.q, int(imap.block_of.max()) + 1
+    tile = np.array([
+        imap.block_of[position_rank([a + o for a, o in zip(anchor, off)], q)]
+        for off in lee_sphere(imap.n).offsets
+    ])
+    pattern = np.broadcast_to(np.arange(len(vecs))[:, None], vecs.shape)
+    keys = (pattern * blocks + tile)[vecs > 0]
+    tally = np.bincount(keys, minlength=len(vecs) * blocks)
+    return tally.reshape(len(vecs), blocks).max(axis=1)
+
+
+def test_doctored_blocks_match_pattern_oracle_3d_exhaustive(monkeypatch):
+    imap = _doctored(7, 3, tiles=12, seed=41)
+    choices = np.array(list(product(range(imap.alpha + 1), repeat=7)))
+    worst = np.concatenate(
+        [_oracle_worst(imap, anchor, choices) for anchor in all_burst_translates(7, 3)]
+    )
+    monkeypatch.setattr(interleave, "build_interleaver", lambda code: imap)
+    s = verify_burst_correction(7, 3, exhaustive=True)
+    assert s.patterns_checked == worst.size
+    assert s.failures == int(np.count_nonzero(worst >= 2)) > 0
+    assert s.max_block_errors == int(worst.max())
+
+
+def test_doctored_blocks_match_pattern_oracle_4d_sampled(monkeypatch):
+    imap = _doctored(9, 4, tiles=40, seed=43)
+    # draw per anchor, as a sweep with one generator call per anchor would
+    rng = np.random.default_rng(5)
+    extremal = np.repeat(np.arange(1, imap.alpha + 1)[:, None], 9, axis=1)
+    worst = np.concatenate([
+        _oracle_worst(
+            imap,
+            anchor,
+            np.vstack([extremal, rng.integers(0, imap.alpha + 1, size=(2, 9))]),
+        )
+        for anchor in all_burst_translates(9, 4)
+    ])
+    monkeypatch.setattr(interleave, "build_interleaver", lambda code: imap)
+    s = verify_burst_correction(9, 4, samples=7000, seed=5)
+    assert s.patterns_checked == worst.size
+    assert s.failures == int(np.count_nonzero(worst >= 2)) > 0
+    assert s.max_block_errors == int(worst.max())
+
+
 def test_sweep_mode_errors():
-    with pytest.raises(ValueError):
-        verify_burst_correction(9, 4, exhaustive=True)
     with pytest.raises(ValueError):
         verify_burst_correction(7, 3, exhaustive=True, samples=10)
     with pytest.raises(ValueError):
