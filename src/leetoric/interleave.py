@@ -25,9 +25,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Iterator, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from .instances import certified_code, require_certified
 from .lee import LeeCode, lee_sphere
@@ -40,6 +38,12 @@ from .toric import (
     face_owner,
     qubit_cell_dim,
 )
+
+# numpy is imported inside the functions that build arrays, not here: this
+# module is on the `import leetoric` path of every CLI command, and only
+# `interleave verify` and `verify stabilizers` use arrays.
+if TYPE_CHECKING:
+    import numpy as np
 
 Vec = tuple[int, ...]
 
@@ -148,11 +152,15 @@ def code_block(index: LogicalIndex, q: int) -> tuple[int, int]:
 
 
 def _radix(q: int, n: int) -> np.ndarray:
+    import numpy as np
+
     return q ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
 
 def _sphere_ranks(points: np.ndarray, q: int, n: int) -> np.ndarray:
     # ranks[p, k] = row-major rank of points[p] + k-th sphere offset, mod q
+    import numpy as np
+
     offsets = np.array(lee_sphere(n).offsets, dtype=np.int64)
     return ((points[:, None, :] + offsets) % q) @ _radix(q, n)
 
@@ -165,6 +173,8 @@ def build_interleaver(code: LeeCode) -> InterleaverMap:
     among each hypercube's owned faces in axes-lexicographic order.  The
     code is perfect exactly when the spheres hit every hypercube once.
     """
+    import numpy as np
+
     q, n = code.q, code.n
     words = np.array(code.codewords, dtype=np.int64).reshape(-1, n)
     hypercube_rank = _sphere_ranks(words, q, n).T
@@ -248,6 +258,8 @@ def enumerate_bursts(
     drawn independently and uniformly from the same space with a seeded
     generator, reproducible for a fixed seed.
     """
+    import numpy as np
+
     anchor = tuple(int(x) % q for x in anchor)
     if len(anchor) != n:
         raise ValueError("invalid anchor")
@@ -266,6 +278,8 @@ def enumerate_bursts(
 
 def _tile_classes(imap: InterleaverMap) -> np.ndarray:
     # cls[a, k] = bitmask of the cells of anchor a's tile in cell k's block
+    import numpy as np
+
     q, n = imap.q, imap.n
     anchors = np.indices((q,) * n).reshape(n, -1).T
     blocks = imap.block_of[_sphere_ranks(anchors, q, n)]
@@ -292,6 +306,8 @@ def verify_burst_correction(
     block, cls[k] being the tile cells sharing cell k's block.  Failures
     are reported, not raised.
     """
+    import numpy as np
+
     require_certified(q, n)
     if exhaustive and samples is not None:
         raise ValueError("choose either exhaustive or sampled mode")

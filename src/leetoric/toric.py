@@ -13,9 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
-import numpy as np
+# numpy is imported inside the functions that build arrays, not here: this
+# module is on the `import leetoric` path of every CLI command, and only
+# `verify stabilizers` and `interleave verify` use arrays.
+if TYPE_CHECKING:
+    import numpy as np
 
 Vec = tuple[int, ...]
 
@@ -219,6 +223,8 @@ def support_rows(q: int, n: int, kind: str) -> np.ndarray:
     lexicographic, then positions row-major.  Row i equals the support that
     star_support / boundary_support builds for the i-th anchor.
     """
+    import numpy as np
+
     k = qubit_cell_dim(n)
     if kind not in ("X", "Z"):
         raise ValueError("kind must be 'X' or 'Z'")
@@ -249,6 +255,8 @@ def overlap_multiplicities(
     incidence, and a pair's multiplicity is the number of shared qubit
     cells.  One Z axes-block (q^n rows) is gathered and yielded at a time.
     """
+    import numpy as np
+
     xrows = support_rows(q, n, "X")
     zrows = support_rows(q, n, "Z")
     n_faces = stabilizer_counts(q, n)["qubits"]
@@ -276,6 +284,8 @@ def commutation_check(q: int, n: int) -> bool:
     Raises ValueError, before allocating anything, when the check would
     visit more than MAX_INCIDENCES incidences.
     """
+    import numpy as np
+
     work = stabilizer_counts(q, n)["incidences_checked"]
     if work > MAX_INCIDENCES:
         raise ValueError(

@@ -11,6 +11,7 @@ import pytest
 import leetoric
 from leetoric import emit_tables, interleave, lee, toric
 from leetoric.cli import main, run_cli
+from leetoric.report import FORMATS
 
 SRC = str(Path(leetoric.__file__).resolve().parents[1])
 
@@ -224,12 +225,57 @@ def test_python_dash_m(module):
     assert proc.stdout == ""
 
 
-def test_import_pulls_in_no_scipy_or_dist_metadata():
-    code = (
-        "import sys, leetoric\n"
-        "print(sorted(m for m in sys.modules"
-        " if m.split('.')[0] == 'scipy' or m == 'importlib.metadata'))"
-    )
-    proc = run_python("-c", code)
+# Runs in a fresh interpreter, because this test module has numpy loaded.
+# After importing the package and the CLI, and after each command given as
+# JSON in argv[1], it prints [exit code, heavy modules loaded, leetoric
+# submodules loaded].
+BOUNDARY_PROBE = """
+import contextlib, io, json, sys
+import leetoric, leetoric.cli
+
+def state(code):
+    loaded = set(sys.modules) | {m.split('.')[0] for m in sys.modules}
+    heavy = loaded & {'numpy', 'scipy', 'importlib.metadata'}
+    return [code, sorted(heavy), sorted(m for m in loaded if m.startswith('leetoric.'))]
+
+out = [state(None)]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        out.append(state(leetoric.cli.run_cli(argv)))
+print(json.dumps(out))
+"""
+
+# The perfbench tracer wraps functions of modules loaded by `import leetoric`.
+SUBMODULES = [
+    f"leetoric.{m}"
+    for m in ("_version", "cli", "instances", "interleave", "lattices", "lee", "report", "toric")
+]
+
+NUMPY_FREE_COMMANDS = [
+    (["verify", "chain", "--q", "9"], 0),
+    (["verify", "tiling", "--q", "7", "--n", "3"], 0),
+    (["verify", "tiling", "--q", "7", "--n", "3", "--generators", "1,1,0;0,1,1"], 1),
+    (["mindist", "--q", "9", "--n", "4"], 0),
+    (["decode", "--q", "9", "--n", "4", "--point", "1,2,3,4"], 0),
+    *((["tables", "--format", fmt], 0) for fmt in FORMATS),
+]
+
+NUMPY_COMMANDS = [
+    ["verify", "stabilizers", "--q", "5", "--n", "2"],
+    ["interleave", "verify", "--q", "7", "--n", "3", "--exhaustive"],
+]
+
+
+def run_boundary_probe(commands: list) -> list:
+    proc = run_python("-c", BOUNDARY_PROBE, json.dumps(commands))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return json.loads(proc.stdout)
+
+
+def test_import_pulls_in_no_scipy_or_dist_metadata():
+    # numpy is loaded only by the commands that build arrays.
+    after_import, *runs = run_boundary_probe([argv for argv, _ in NUMPY_FREE_COMMANDS])
+    assert after_import == [None, [], SUBMODULES]
+    assert runs == [[code, [], SUBMODULES] for _, code in NUMPY_FREE_COMMANDS]
+    for argv in NUMPY_COMMANDS:
+        assert run_boundary_probe([argv])[1] == [0, ["numpy"], SUBMODULES], argv
