@@ -53,7 +53,7 @@ def _emit(cert) -> int:
 
 def _cmd_chain(args: argparse.Namespace) -> int:
     q = args.q
-    n = {7: 3, 9: 4}[q]
+    n = dict(CERTIFIED)[q]
     matrix = scaling_matrix(q, n)
     rep = verify_chain(matrix, q)
     cosets = None
@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = verify.add_subparsers(dest="claim", required=True)
 
     chain = vsub.add_parser("chain", help="certify the nested lattice chain")
-    chain.add_argument("--q", type=int, choices=(7, 9), required=True)
+    chain.add_argument("--q", type=int, choices=[q for q, _ in CERTIFIED], required=True)
     chain.set_defaults(func=_cmd_chain)
 
     tiling = vsub.add_parser("tiling", help="certify the perfect Lee-sphere tiling")

@@ -10,6 +10,7 @@ coset counting, and certification of nested chains Z^n > M Z^n > q Z^n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Optional, Sequence
 
 Vec = tuple[int, ...]
@@ -196,17 +197,21 @@ def solve_left(m: IntMatrix, v: Sequence[int]) -> Optional[Vec]:
 def coset_count(outer: IntMatrix, inner: IntMatrix) -> int:
     """Number of cosets of the inner lattice inside the outer lattice.
 
-    Requires inner to be a sublattice of outer; the count is the exact ratio
-    |det inner| / |det outer|.
+    Requires inner to be a sublattice of outer.  The count is the ratio of
+    the Hermite-form pivot products, prod diag H(inner) / prod diag H(outer):
+    no determinant is taken, so it is independent of `verify_chain`'s
+    Bareiss index.  A singular lattice raises "singular matrix".
     """
     if outer.n != inner.n:
         raise ValueError("dimension mismatch")
+    h_outer = hermite_form(outer)
     for row in inner.rows:
-        if not contains(outer, row):
+        if _solve_upper(h_outer, row) is None:
             raise ValueError("not a sublattice")
-    det_outer = abs(determinant(outer))
-    det_inner = abs(determinant(inner))
-    quot, rem = divmod(det_inner, det_outer)
+    quot, rem = divmod(
+        prod(r[i] for i, r in enumerate(hermite_form(inner).rows)),
+        prod(r[i] for i, r in enumerate(h_outer.rows)),
+    )
     if rem:
         raise AssertionError("coset count is not integral despite inclusion")
     return quot

@@ -4,15 +4,20 @@ Codewords are the additive closure mod q of a handful of generator vectors.
 Distances use the Mannheim weight (sum of absolute symmetric residues), the
 sphere of radius 1 around each codeword is the cross shape {0, +/-e_i}, and
 perfection means those spheres tile Z_q^n with no gaps and no overlaps.
-Decoding a point of a perfect code returns its unique covering codeword plus
-the offset index, which doubles as the point's cross-section label.
+
+For a radius-1 code "the spheres tile Z_q^n" and "every point decodes
+uniquely" are one fact, so one pass serves both: each code places every
+codeword + offset once, on first use, into its own point -> (codeword,
+offset index) cover.  The tiling check asks whether that cover exists, and
+decoding is one lookup in it; the offset index doubles as the point's
+cross-section label.  The cover lives on the code and goes with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Sequence
+from functools import cached_property
+from typing import Optional, Sequence
 
 Vec = tuple[int, ...]
 
@@ -21,14 +26,9 @@ Vec = tuple[int, ...]
 MAX_POINTS = 2**20
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LeeCode:
-    """Group code in Z_q^n, enumerated once and immutable afterwards.
-
-    Identity semantics (eq=False): decode tables are cached per enumerated
-    instance, so hashing stays O(1) instead of rehashing the codeword tuple
-    on every decode.
-    """
+    """Group code in Z_q^n, enumerated once and immutable afterwards."""
 
     q: int
     n: int
@@ -40,6 +40,22 @@ class LeeCode:
             raise ValueError("modulus must be at least 2")
         if self.n < 1:
             raise ValueError("dimension must be positive")
+
+    @cached_property
+    def _cover(self) -> Optional[dict[Vec, tuple[Vec, int]]]:
+        # Point -> (codeword, offset index) for every codeword + offset, or
+        # None when two spheres overlap or some point is left uncovered.
+        q = self.q
+        _require_points(q, self.n)
+        offsets = lee_sphere(self.n).offsets
+        cover: dict[Vec, tuple[Vec, int]] = {}
+        for c in self.codewords:
+            for j, o in enumerate(offsets):
+                p = tuple((a + b) % q for a, b in zip(c, o))
+                if p in cover:
+                    return None
+                cover[p] = (c, j)
+        return cover if len(cover) == q**self.n else None
 
 
 @dataclass(frozen=True)
@@ -131,46 +147,9 @@ def lee_sphere(n: int) -> LeeSphere:
     return LeeSphere(n=n, offsets=tuple(offs))
 
 
-def _rank(point: Vec, q: int) -> int:
-    r = 0
-    for x in point:
-        r = r * q + x
-    return r
-
-
 def tiling_check(code: LeeCode) -> bool:
     """True iff the radius-1 spheres around the codewords tile Z_q^n exactly."""
-    q, n = code.q, code.n
-    _require_points(q, n)
-    offsets = lee_sphere(n).offsets
-    cover = bytearray(q**n)
-    placed = 0
-    for c in code.codewords:
-        for o in offsets:
-            r = _rank(tuple((a + b) % q for a, b in zip(c, o)), q)
-            if cover[r]:
-                return False
-            cover[r] = 1
-            placed += 1
-    return placed == q**n
-
-
-@lru_cache(maxsize=None)
-def _decode_table(code: LeeCode) -> dict[Vec, tuple[Vec, int]]:
-    # Full lookup table point -> (codeword, offset_index); building it is
-    # itself the perfection check, so decode errors surface eagerly.
-    q, n = code.q, code.n
-    offsets = lee_sphere(n).offsets
-    table: dict[Vec, tuple[Vec, int]] = {}
-    for c in code.codewords:
-        for j, o in enumerate(offsets):
-            p = tuple((a + b) % q for a, b in zip(c, o))
-            if p in table:
-                raise ValueError("decoding not unique")
-            table[p] = (c, j)
-    if len(table) != q**n:
-        raise ValueError("decoding not unique")
-    return table
+    return code._cover is not None
 
 
 def decode_nearest(point: Sequence[int], code: LeeCode) -> DecodeResult:
@@ -181,6 +160,8 @@ def decode_nearest(point: Sequence[int], code: LeeCode) -> DecodeResult:
     """
     if len(point) != code.n:
         raise ValueError("dimension mismatch")
-    p = tuple(int(x) % code.q for x in point)
-    codeword, j = _decode_table(code)[p]
+    cover = code._cover
+    if cover is None:
+        raise ValueError("decoding not unique")
+    codeword, j = cover[tuple(int(x) % code.q for x in point)]
     return DecodeResult(codeword=codeword, offset_index=j)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import leetoric
-from leetoric import emit_tables, interleave, lee, toric
+from leetoric import emit_tables, interleave, lattices, lee, toric
 from leetoric.cli import main, run_cli
 from leetoric.report import FORMATS
 
@@ -41,6 +41,25 @@ def test_verify_chain_passes(capsys):
     assert code == 0
     assert cert["counts"]["det_abs"] == 9
     assert cert["counts"]["scaled_index"] == 729
+
+
+def test_verify_chain_fails_on_a_wrong_determinant(capsys, monkeypatch):
+    # The coset count must not share the determinant's arithmetic: with the
+    # Bareiss determinant of M(7,3) reported 7x too large, the two ways of
+    # computing the index disagree and the chain certificate fails.
+    true_determinant = lattices.determinant
+    m73 = leetoric.scaling_matrix(7, 3)
+
+    def doctored(m):
+        return 7 * true_determinant(m) if m == m73 else true_determinant(m)
+
+    monkeypatch.setattr(lattices, "determinant", doctored)
+    code, cert = run_and_parse(capsys, ["verify", "chain", "--q", "7"])
+    assert code == 1
+    assert cert["passed"] is False
+    assert cert["counts"]["det_abs"] == 49
+    assert cert["counts"]["scaled_index"] == 7
+    assert cert["counts"]["coset_count"] == 49
 
 
 def test_verify_tiling_pass_and_forced_failure(capsys):

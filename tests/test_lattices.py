@@ -222,6 +222,11 @@ def test_coset_count_rejects_non_sublattice():
         coset_count(IntMatrix.scalar(2, 2), IntMatrix.identity(2))
 
 
+def test_coset_count_rejects_singular_inner():
+    with pytest.raises(ValueError, match="singular matrix"):
+        coset_count(IntMatrix.identity(2), IntMatrix.from_rows(((1, 1), (1, 1))))
+
+
 def test_verify_chain_certified_instances():
     r3 = verify_chain(M3, 7)
     assert r3.ambient_dim == 3 and r3.scale == 7

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from itertools import product
 
 import numpy as np
 import pytest
 
 from leetoric import (
+    certified_code,
+    code_generators,
     decode_nearest,
     enumerate_codewords,
     lee_sphere,
@@ -21,6 +25,26 @@ from leetoric import (
 def lee_weight_oracle(v, q):
     """Per-coordinate minimum-representative weight, no symmetric residues."""
     return sum(min(x % q, q - x % q) for x in v)
+
+
+def all_pairs_lee_distances(code):
+    """Every point of Z_q^n (row-major) and its Lee distance to every codeword."""
+    q = code.q
+    points = np.array(list(product(range(q), repeat=code.n)), dtype=np.int8)
+    words = np.array(code.codewords, dtype=np.int8)
+    dist = np.zeros((len(points), len(words)), dtype=np.int8)
+    for i in range(code.n):
+        d = (points[:, None, i] - words[None, :, i]) % q
+        dist += np.minimum(d, q - d)
+    return points, dist
+
+
+def golomb_welch_label(point, n):
+    """Offset index from the syndrome s = sum i*x_i mod 2n+1: +e_i gives +i."""
+    s = sum(i * x for i, x in enumerate(point, start=1)) % (2 * n + 1)
+    if s == 0:
+        return 0
+    return 2 * s - 1 if s <= n else 2 * (2 * n + 1 - s)
 
 
 @pytest.mark.parametrize("x,q,expected", [(4, 7, -3), (0, 9, 0), (6, 9, -3)])
@@ -192,22 +216,40 @@ def test_decode_sphere_roundtrip(code3, code4):
 
 
 def test_decode_matches_brute_force_nearest(code3, code4):
-    rng = random.Random(29)
     for code in (code3, code4):
-        for _ in range(25):
-            point = tuple(rng.randrange(code.q) for _ in range(code.n))
-            distances = [
-                lee_weight_oracle(
-                    tuple(p - c for p, c in zip(point, cw)), code.q
-                )
-                for cw in code.codewords
-            ]
-            best = min(distances)
-            assert best <= 1
-            # perfection makes the closest codeword unique
-            assert distances.count(best) == 1
-            nearest = code.codewords[distances.index(best)]
-            assert decode_nearest(point, code).codeword == nearest
+        points, dist = all_pairs_lee_distances(code)
+        within = dist <= 1
+        # perfection: exactly one codeword lies within distance 1 of each point
+        assert (within.sum(axis=1) == 1).all()
+        nearest = within.argmax(axis=1)
+        for point, k in zip(points.tolist(), nearest.tolist()):
+            res = decode_nearest(point, code)
+            assert res.codeword == code.codewords[k]
+            assert res.offset_index == golomb_welch_label(point, code.n)
+
+
+@pytest.mark.parametrize("generators", [((1, 1, 0), (0, 1, 1)), ((0, 0, 0),)])
+def test_rejected_codes_cover_some_point_other_than_once(generators):
+    code = enumerate_codewords(generators, 7, 3)
+    _, dist = all_pairs_lee_distances(code)
+    assert ((dist <= 1).sum(axis=1) != 1).any()
+    assert not tiling_check(code)
+
+
+def test_lee_code_equality_is_by_value():
+    fresh = enumerate_codewords(code_generators(7, 3), 7, 3)
+    assert fresh is not certified_code(7, 3)
+    assert fresh == certified_code(7, 3)
+    assert hash(fresh) == hash(certified_code(7, 3))
+
+
+def test_decoded_code_is_freed_with_its_cover():
+    fresh = enumerate_codewords(code_generators(7, 3), 7, 3)
+    assert decode_nearest((1, 1, 1), fresh).codeword == (2, 1, 1)
+    ref = weakref.ref(fresh)
+    del fresh
+    gc.collect()
+    assert ref() is None
 
 
 def test_decode_point_reduced_mod_q(code3):
