@@ -10,17 +10,12 @@ and the rate/gain tables of the resulting codes.
 from ._version import __version__
 from .instances import CERTIFIED, certified_code, code_generators, scaling_matrix
 from .interleave import (
-    BurstPattern,
     BurstSweepSummary,
-    CorrectionVerdict,
     InterleaverMap,
     LogicalIndex,
     PhysicalSlot,
     all_burst_translates,
     build_interleaver,
-    code_block,
-    deinterleave,
-    enumerate_bursts,
     interleaved_params,
     verify_burst_correction,
 )
@@ -57,28 +52,17 @@ from .report import (
     table_rows,
 )
 from .toric import (
-    Cell,
     CodeParams,
-    StabilizerSupport,
-    boundary_support,
     commutation_check,
-    enumerate_faces,
-    face_from_index,
-    face_index,
-    face_owner,
     literature_params,
     new_code_params,
-    star_support,
 )
 
 __all__ = [
-    "CERTIFIED",
-    "BurstPattern",
     "BurstSweepSummary",
-    "Cell",
+    "CERTIFIED",
     "ChainReport",
     "CodeParams",
-    "CorrectionVerdict",
     "DecodeResult",
     "IntMatrix",
     "InterleaverMap",
@@ -87,28 +71,19 @@ __all__ = [
     "LogicalIndex",
     "PhysicalSlot",
     "RateGain",
-    "StabilizerSupport",
     "TableRow",
     "VerificationCertificate",
     "all_burst_translates",
-    "boundary_support",
     "build_interleaver",
     "certified_code",
-    "code_block",
     "code_generators",
     "commutation_check",
     "contains",
     "coset_count",
     "decode_nearest",
-    "deinterleave",
     "determinant",
     "emit_tables",
-    "enumerate_bursts",
     "enumerate_codewords",
-    "enumerate_faces",
-    "face_from_index",
-    "face_index",
-    "face_owner",
     "hermite_decomposition",
     "hermite_form",
     "interleaved_params",
@@ -121,7 +96,6 @@ __all__ = [
     "rate_gain",
     "scaling_matrix",
     "solve_left",
-    "star_support",
     "symmetric_residue",
     "table_rows",
     "tiling_check",

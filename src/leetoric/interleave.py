@@ -8,15 +8,13 @@ single cross-section, namely the one matching its own offset label inside
 its Lee-sphere tile.  A burst confined to one tile therefore touches each
 cross-section at most once, which is exactly what the sweeps below certify.
 
-Error patterns are sets of face indices in the toric module's numbering.
 A burst at an anchor may err at most one face per hypercube of the tile
 {anchor + offsets}; constituent code blocks correct one error each, so a
 pattern is correctable exactly when no block sees two.  Every slot of a
 hypercube belongs to the same block, so a pattern's verdict depends only on
 its mask of hit tile cells: the (alpha+1)^(2n+1) patterns of a tile collapse
 to 2^(2n+1) masks, mask m standing for alpha^|m| patterns.  That makes the
-exhaustive sweep cheap on both certified instances; seeded sampling plus
-extremal patterns remains the default in 4D.
+exhaustive sweep cheap on both certified instances, and it is the default.
 """
 
 from __future__ import annotations
@@ -25,19 +23,11 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Optional
 
 from .instances import certified_code, require_certified
 from .lee import LeeCode, lee_sphere
-from .toric import (
-    Cell,
-    CodeParams,
-    axes_tuples,
-    face_from_index,
-    face_index,
-    face_owner,
-    qubit_cell_dim,
-)
+from .toric import CodeParams, axes_tuples, qubit_cell_dim
 
 # numpy is imported inside the functions that build arrays, not here: this
 # module is on the `import leetoric` path of every CLI command, and only
@@ -107,20 +97,6 @@ class InterleaverMap:
 
 
 @dataclass(frozen=True)
-class BurstPattern:
-    """One burst: a Lee-sphere translate plus at most one error per tile cell."""
-
-    anchor: Vec
-    errors: frozenset[int]
-
-
-@dataclass(frozen=True)
-class CorrectionVerdict:
-    correctable: bool
-    per_block_error_counts: dict[tuple[int, int], int]
-
-
-@dataclass(frozen=True)
 class BurstSweepSummary:
     """Reproducible record of one verification sweep.
 
@@ -144,11 +120,6 @@ class BurstSweepSummary:
     max_block_errors: int
     method: str
     masks_checked: Optional[int]
-
-
-def code_block(index: LogicalIndex, q: int) -> tuple[int, int]:
-    """Constituent code block of a logical index: (cross-section, i div q)."""
-    return index.cross_section, index.codeword_index // q
 
 
 def _radix(q: int, n: int) -> np.ndarray:
@@ -191,89 +162,9 @@ def build_interleaver(code: LeeCode) -> InterleaverMap:
     )
 
 
-def slot_to_face_index(q: int, n: int, ps: PhysicalSlot) -> int:
-    """Face index of a physical slot under the toric enumeration order."""
-    axes = axes_tuples(n, qubit_cell_dim(n))[ps.slot]
-    return face_index(q, n, Cell(position=ps.hypercube, axes=axes))
-
-
-def face_index_to_slot(q: int, n: int, index: int) -> PhysicalSlot:
-    cell = face_from_index(q, n, index)
-    slot = axes_tuples(n, qubit_cell_dim(n)).index(cell.axes)
-    return PhysicalSlot(hypercube=face_owner(cell), slot=slot)
-
-
-def deinterleave(imap: InterleaverMap, errored_faces: Iterable[int]) -> CorrectionVerdict:
-    """Tally errored faces into constituent code blocks and judge the burst.
-
-    Each face is routed through its owner hypercube and slot back to its
-    logical index; a pattern is correctable when no block collects more than
-    one error (the constituent codes correct a single error each).
-    """
-    counts: dict[tuple[int, int], int] = {}
-    for f in errored_faces:
-        ps = face_index_to_slot(imap.q, imap.n, int(f))
-        li = imap.inverse[ps]
-        key = code_block(li, imap.q)
-        counts[key] = counts.get(key, 0) + 1
-    correctable = all(v <= 1 for v in counts.values())
-    return CorrectionVerdict(correctable=correctable, per_block_error_counts=counts)
-
-
 def all_burst_translates(q: int, n: int) -> tuple[Vec, ...]:
     """All q^n anchors of the Lee-sphere translates, in row-major order."""
     return tuple(product(range(q), repeat=n))
-
-
-def _tile_faces(anchor: Vec, q: int, n: int) -> list[list[int]]:
-    # faces[k][s] = face index of slot s on the k-th hypercube of the tile
-    offsets = lee_sphere(n).offsets
-    alpha = len(axes_tuples(n, qubit_cell_dim(n)))
-    out = []
-    for off in offsets:
-        h = tuple((a + b) % q for a, b in zip(anchor, off))
-        out.append(
-            [slot_to_face_index(q, n, PhysicalSlot(h, s)) for s in range(alpha)]
-        )
-    return out
-
-
-def _pattern(anchor: Vec, faces: list[list[int]], vec: Iterable[int]) -> BurstPattern:
-    # choice 0 = no error on that hypercube, choice s+1 = error on slot s
-    errs = frozenset(faces[k][v - 1] for k, v in enumerate(vec) if v)
-    return BurstPattern(anchor=anchor, errors=errs)
-
-
-def enumerate_bursts(
-    anchor: Vec,
-    q: int,
-    n: int,
-    samples: Optional[int] = None,
-    seed: Optional[int] = None,
-) -> Iterator[BurstPattern]:
-    """Burst patterns on one Lee-sphere translate.
-
-    Without samples: all (alpha+1)^(2n+1) patterns, in mixed-radix counting
-    order starting from the empty burst.  With samples: that many patterns
-    drawn independently and uniformly from the same space with a seeded
-    generator, reproducible for a fixed seed.
-    """
-    import numpy as np
-
-    anchor = tuple(int(x) % q for x in anchor)
-    if len(anchor) != n:
-        raise ValueError("invalid anchor")
-    faces = _tile_faces(anchor, q, n)
-    sphere = len(faces)
-    alpha = len(faces[0])
-    if samples is None:
-        for vec in product(range(alpha + 1), repeat=sphere):
-            yield _pattern(anchor, faces, vec)
-    else:
-        rng = np.random.default_rng(seed)
-        draws = rng.integers(0, alpha + 1, size=(samples, sphere))
-        for vec in draws:
-            yield _pattern(anchor, faces, vec)
 
 
 def _tile_classes(imap: InterleaverMap) -> np.ndarray:
@@ -297,9 +188,10 @@ def verify_burst_correction(
 ) -> BurstSweepSummary:
     """Sweep Lee-sphere bursts over every translate and count failures.
 
-    Exhaustive mode accounts for all (alpha+1)^(2n+1) per-tile patterns of
-    every anchor through their 2^(2n+1) hit-cell masks; it is the default
-    for (7, 3).  For (9, 4) the default is one million seeded samples
+    The mode is sampled exactly when samples is given; an explicit
+    exhaustive flag must agree.  Exhaustive mode accounts for all
+    (alpha+1)^(2n+1) per-tile patterns of every anchor through their
+    2^(2n+1) hit-cell masks.  Sampled mode draws that many seeded patterns
     spread evenly over the anchors (at most MAX_SAMPLES), plus the
     all-cells-errored extremal pattern of every slot for every anchor.  A
     pattern with mask m sees max_k |m & cls[k]| errors in its fullest
@@ -309,17 +201,11 @@ def verify_burst_correction(
     import numpy as np
 
     require_certified(q, n)
-    if exhaustive and samples is not None:
-        raise ValueError("choose either exhaustive or sampled mode")
-    if exhaustive is None and samples is None:
-        exhaustive = (q, n) == (7, 3)
-    if exhaustive:
-        samples = None
-    elif samples is None:
-        samples = 1_000_000
-    elif samples < 1:
+    if exhaustive is not None and exhaustive != (samples is None):
+        raise ValueError("choose either exhaustive mode or a sample count")
+    if samples is not None and samples < 1:
         raise ValueError("sample count must be positive")
-    elif samples > MAX_SAMPLES:
+    if samples is not None and samples > MAX_SAMPLES:
         raise ValueError(
             f"sample count {samples} is over the limit of {MAX_SAMPLES}; "
             "use exhaustive mode"
@@ -337,7 +223,7 @@ def verify_burst_correction(
     row_of = row_of.ravel()
     worst = popcount[masks[:, None, None] & rows].max(axis=-1)
 
-    if exhaustive:
+    if samples is None:
         weight = alpha**popcount
         failures = int(((worst >= 2) * weight[:, None] * mult).sum())
         max_block = int(worst.max())

@@ -172,8 +172,7 @@ def contains(m: IntMatrix, v: Sequence[int]) -> bool:
     """Whether v lies in the lattice generated by the rows of m."""
     if len(v) != m.n:
         raise ValueError("dimension mismatch")
-    h, _ = hermite_decomposition(m)
-    return _solve_upper(h, v) is not None
+    return _solve_upper(hermite_form(m), v) is not None
 
 
 def solve_left(m: IntMatrix, v: Sequence[int]) -> Optional[Vec]:
@@ -254,7 +253,8 @@ def verify_chain(m: IntMatrix, q: int) -> ChainReport:
     if det_abs == 0:
         raise ValueError("singular matrix")
     basis = [tuple(q * int(i == j) for j in range(n)) for i in range(n)]
-    inclusion = all(contains(m, e) for e in basis)
+    h = hermite_form(m)
+    inclusion = all(_solve_upper(h, e) is not None for e in basis)
     scaled: Optional[int] = None
     if inclusion:
         scaled, rem = divmod(q**n, det_abs)

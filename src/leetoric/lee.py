@@ -86,7 +86,8 @@ def mannheim_weight(v: Sequence[int], q: int) -> int:
 
 
 def _require_points(q: int, n: int) -> None:
-    if q**n > MAX_POINTS:
+    # q**n >= 2**n, so a long n is refused before its power is taken
+    if (q >= 2 and n > MAX_POINTS.bit_length()) or q**n > MAX_POINTS:
         raise ValueError(f"{q}^{n} points is over the limit of {MAX_POINTS}")
 
 

@@ -1,35 +1,26 @@
 """Cell structure of the q^n torus and toric-code bookkeeping.
 
-Cells are axis-aligned: a k-cell is a lower-corner position plus the k axes
-it spans, with periodic wraparound mod q.  Qubits live on 2-cells for n >= 3;
-in two dimensions the usual convention puts them on edges instead, and the
-enumeration below follows that.  Stabilizers are plain index sets: X-type
-operators sit on the cells one dimension below the qubit cells, Z-type on the
-cells one dimension above, and commutation is just overlap parity.
+Qubits live on the axis-aligned 2-cells of the periodic q^n cubical complex
+for n >= 3, and on edges in two dimensions.  A qubit cell's index is its
+axes block (sorted axes subsets, lexicographic) times q^n plus the row-major
+rank of its lower corner.  Stabilizer supports are rows of such indices
+built by rank arithmetic: X-type operators sit on the cells one dimension
+below the qubit cells, Z-type on the cells one dimension above, and
+commutation is just overlap parity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional
 
 # numpy is imported inside the functions that build arrays, not here: this
 # module is on the `import leetoric` path of every CLI command, and only
 # `verify stabilizers` and `interleave verify` use arrays.
 if TYPE_CHECKING:
     import numpy as np
-
-Vec = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Cell:
-    """Axis-aligned k-cell: lower corner plus the k axes it spans."""
-
-    position: Vec
-    axes: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -59,15 +50,6 @@ class CodeParams:
             raise ValueError("capability must be nonnegative")
 
 
-@dataclass(frozen=True)
-class StabilizerSupport:
-    """One stabilizer generator as a set of qubit-cell indices."""
-
-    kind: str  # "X" (star) or "Z" (boundary)
-    anchor: Cell
-    support: tuple[int, ...]
-
-
 def qubit_cell_dim(n: int) -> int:
     """Dimension of the cells carrying qubits: 2-cells, except edges in 2D."""
     if n < 2:
@@ -78,111 +60,6 @@ def qubit_cell_dim(n: int) -> int:
 def axes_tuples(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """All sorted k-subsets of the n axes, in lexicographic order."""
     return tuple(combinations(range(n), k))
-
-
-def position_rank(point: Sequence[int], q: int) -> int:
-    """Row-major rank of a torus point (first coordinate most significant)."""
-    r = 0
-    for x in point:
-        r = r * q + int(x) % q
-    return r
-
-
-def position_unrank(rank: int, q: int, n: int) -> Vec:
-    coords = []
-    for _ in range(n):
-        rank, x = divmod(rank, q)
-        coords.append(x)
-    return tuple(reversed(coords))
-
-
-def enumerate_faces(q: int, n: int) -> tuple[Cell, ...]:
-    """All qubit cells in index order: lexicographic axes, then position."""
-    if q < 2 or n < 2:
-        raise ValueError("need q >= 2 and n >= 2")
-    k = qubit_cell_dim(n)
-    return tuple(
-        Cell(position=pos, axes=axes)
-        for axes in axes_tuples(n, k)
-        for pos in product(range(q), repeat=n)
-    )
-
-
-def face_index(q: int, n: int, cell: Cell) -> int:
-    """Index of a qubit cell under the enumerate_faces order."""
-    k = qubit_cell_dim(n)
-    pairs = axes_tuples(n, k)
-    try:
-        a = pairs.index(cell.axes)
-    except ValueError:
-        raise ValueError("invalid face axes") from None
-    if len(cell.position) != n:
-        raise ValueError("invalid face position")
-    return a * q**n + position_rank(cell.position, q)
-
-
-def face_from_index(q: int, n: int, index: int) -> Cell:
-    """Inverse of face_index."""
-    k = qubit_cell_dim(n)
-    pairs = axes_tuples(n, k)
-    a, r = divmod(index, q**n)
-    if not (0 <= a < len(pairs)) or index < 0:
-        raise ValueError("face index out of range")
-    return Cell(position=position_unrank(r, q, n), axes=pairs[a])
-
-
-def face_owner(face: Cell) -> Vec:
-    """The hypercube owning a qubit cell: the one at its lower corner."""
-    return face.position
-
-
-def _check_anchor(q: int, n: int, anchor: Cell, want_dim: int) -> Vec:
-    axes = anchor.axes
-    if len(axes) != want_dim or list(axes) != sorted(set(axes)):
-        raise ValueError("invalid anchor")
-    if any(a < 0 or a >= n for a in axes):
-        raise ValueError("invalid anchor")
-    if len(anchor.position) != n:
-        raise ValueError("invalid anchor")
-    return tuple(int(x) % q for x in anchor.position)
-
-
-def star_support(q: int, n: int, anchor: Cell) -> StabilizerSupport:
-    """X-type support: all qubit cells containing the anchor cell.
-
-    The anchor lives one dimension below the qubit cells (a vertex in 2D, an
-    edge otherwise), and each free axis contributes the two qubit cells on
-    either side of it, so the support size is 2(n - k + 1).
-    """
-    k = qubit_cell_dim(n)
-    pos = _check_anchor(q, n, anchor, k - 1)
-    idx = []
-    for a in range(n):
-        if a in anchor.axes:
-            continue
-        axes = tuple(sorted(anchor.axes + (a,)))
-        shifted = tuple(x - (i == a) for i, x in enumerate(pos))
-        idx.append(face_index(q, n, Cell(pos, axes)))
-        idx.append(face_index(q, n, Cell(tuple(x % q for x in shifted), axes)))
-    return StabilizerSupport(kind="X", anchor=anchor, support=tuple(sorted(idx)))
-
-
-def boundary_support(q: int, n: int, anchor: Cell) -> StabilizerSupport:
-    """Z-type support: the qubit cells on the boundary of the anchor cell.
-
-    The anchor lives one dimension above the qubit cells (a face in 2D, a
-    cube or 3-cell otherwise); dropping each spanned axis gives a near and a
-    far side, so the support size is 2(k + 1).
-    """
-    k = qubit_cell_dim(n)
-    pos = _check_anchor(q, n, anchor, k + 1)
-    idx = []
-    for a in anchor.axes:
-        axes = tuple(x for x in anchor.axes if x != a)
-        shifted = tuple(x + (i == a) for i, x in enumerate(pos))
-        idx.append(face_index(q, n, Cell(pos, axes)))
-        idx.append(face_index(q, n, Cell(tuple(x % q for x in shifted), axes)))
-    return StabilizerSupport(kind="Z", anchor=anchor, support=tuple(sorted(idx)))
 
 
 # Refuse a commutation check whose overlap gather would exceed this many
@@ -219,9 +96,9 @@ def _step(rank: np.ndarray, radix: int, q: int, delta: int) -> np.ndarray:
 def support_rows(q: int, n: int, kind: str) -> np.ndarray:
     """All X (star) or Z (boundary) supports, one sorted row per anchor.
 
-    Anchors are ordered as enumerate_faces orders qubit cells: axes
-    lexicographic, then positions row-major.  Row i equals the support that
-    star_support / boundary_support builds for the i-th anchor.
+    Anchors are ordered as qubit cells are indexed: axes lexicographic,
+    then positions row-major.  Row i holds the qubit cells containing
+    (X) or bounding (Z) the i-th anchor.
     """
     import numpy as np
 
@@ -284,14 +161,14 @@ def commutation_check(q: int, n: int) -> bool:
     Raises ValueError, before allocating anything, when the check would
     visit more than MAX_INCIDENCES incidences.
     """
+    # the work is at least q**n >= 2**n: refuse a long n before any power
+    long_n = q >= 2 and n > MAX_INCIDENCES.bit_length()
+    if long_n or stabilizer_counts(q, n)["incidences_checked"] > MAX_INCIDENCES:
+        raise ValueError(
+            f"the {q}^{n} torus is over the limit of {MAX_INCIDENCES} incidences"
+        )
     import numpy as np
 
-    work = stabilizer_counts(q, n)["incidences_checked"]
-    if work > MAX_INCIDENCES:
-        raise ValueError(
-            f"the {q}^{n} torus needs {work} incidences, over the limit of "
-            f"{MAX_INCIDENCES}"
-        )
     return all(
         not np.any(multiplicity % 2)
         for _, _, multiplicity in overlap_multiplicities(q, n)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -75,11 +76,13 @@ def test_verify_tiling_pass_and_forced_failure(capsys):
     assert cert["passed"] is False
 
 
-@pytest.mark.parametrize("n", [4, 40])
-def test_verify_tiling_refuses_oversized_space(capsys, n):
-    generators = ",".join(["1"] + ["0"] * (n - 1))
+@pytest.mark.parametrize("n, coords", [(4, 4), (40, 40), (10**7, 1)], ids=["4", "40", "1e7"])
+def test_verify_tiling_refuses_oversized_space(capsys, n, coords):
+    generators = ",".join(["1"] + ["0"] * (coords - 1))
     argv = ["verify", "tiling", "--q", "50", "--n", str(n), "--generators", generators]
+    t0 = time.monotonic()
     assert run_cli(argv) == 2
+    assert time.monotonic() - t0 < 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"over the limit of {lee.MAX_POINTS}" in captured.err
@@ -114,13 +117,15 @@ def test_verify_stabilizers(capsys):
         }
 
 
-@pytest.mark.parametrize("n", ["4", "40"])
+@pytest.mark.parametrize("n", ["4", "40", "100000", "10000000"])
 def test_verify_stabilizers_refuses_oversized_torus(capsys, monkeypatch, n):
     def no_allocation(*args):
         raise AssertionError("support rows built past the work limit")
 
     monkeypatch.setattr(toric, "support_rows", no_allocation)
+    t0 = time.monotonic()
     assert run_cli(["verify", "stabilizers", "--q", "50", "--n", n]) == 2
+    assert time.monotonic() - t0 < 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"over the limit of {toric.MAX_INCIDENCES}" in captured.err
@@ -138,16 +143,15 @@ def test_interleave_verify_exhaustive(capsys):
 
 
 def test_interleave_verify_exhaustive_4d(capsys):
-    code, cert = run_and_parse(
-        capsys, ["interleave", "verify", "--q", "9", "--n", "4", "--exhaustive"]
-    )
-    assert code == 0
-    assert cert["inputs"]["mode"] == "exhaustive"
-    assert cert["counts"]["patterns_checked"] == 6561 * 7**9 == 264_760_015_527
-    assert cert["counts"]["failures"] == 0
-    assert cert["counts"]["max_block_errors"] == 1
-    assert cert["counts"]["method"] == "mask-quotient"
-    assert cert["counts"]["masks_checked"] == 6561 * 2**9 == 3_359_232
+    for flags in (["--exhaustive"], []):
+        code, cert = run_and_parse(capsys, ["interleave", "verify", "--q", "9", "--n", "4", *flags])
+        assert code == 0
+        assert cert["inputs"]["mode"] == "exhaustive"
+        assert cert["counts"]["patterns_checked"] == 6561 * 7**9 == 264_760_015_527
+        assert cert["counts"]["failures"] == 0
+        assert cert["counts"]["max_block_errors"] == 1
+        assert cert["counts"]["method"] == "mask-quotient"
+        assert cert["counts"]["masks_checked"] == 6561 * 2**9 == 3_359_232
 
 
 def test_interleave_verify_sampled(capsys):

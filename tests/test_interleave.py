@@ -7,24 +7,29 @@ from itertools import product
 import numpy as np
 import pytest
 
+import leetoric
+import oracles
 from leetoric import (
     LogicalIndex,
     PhysicalSlot,
     all_burst_translates,
     build_interleaver,
     certified_code,
-    code_block,
     decode_nearest,
-    deinterleave,
-    enumerate_bursts,
     enumerate_codewords,
     interleaved_params,
     lee_sphere,
     verify_burst_correction,
 )
 from leetoric import interleave
-from leetoric.interleave import face_index_to_slot, slot_to_face_index
-from leetoric.toric import position_rank
+from oracles import (
+    code_block,
+    deinterleave,
+    enumerate_bursts,
+    face_index_to_slot,
+    position_rank,
+    slot_to_face_index,
+)
 
 
 def test_map_sizes_and_alpha(imap3, imap4):
@@ -256,7 +261,8 @@ def test_sweep_3d_exhaustive_summary():
 
 
 def test_sweep_3d_default_mode_is_exhaustive():
-    assert verify_burst_correction(7, 3).mode == "exhaustive"
+    for q, n in ((7, 3), (9, 4)):
+        assert verify_burst_correction(q, n).mode == "exhaustive"
 
 
 def test_sweep_4d_sampled_summary_and_reproducibility():
@@ -351,6 +357,8 @@ def test_sweep_mode_errors():
     with pytest.raises(ValueError):
         verify_burst_correction(7, 3, exhaustive=True, samples=10)
     with pytest.raises(ValueError):
+        verify_burst_correction(9, 4, exhaustive=False)
+    with pytest.raises(ValueError):
         verify_burst_correction(9, 4, samples=0)
     with pytest.raises(ValueError, match="not certified"):
         verify_burst_correction(5, 3)
@@ -365,3 +373,12 @@ def test_interleaved_params_frozen():
     assert p4.d is None
     with pytest.raises(ValueError, match="not certified"):
         interleaved_params(5, 3)
+
+
+def test_public_surface_leaves_the_oracles_to_the_tests():
+    names = leetoric.__all__
+    assert names == sorted(names) and len(names) == 42
+    assert all(hasattr(leetoric, name) for name in names)
+    moved = {k for k, v in vars(oracles).items() if getattr(v, "__module__", None) == "oracles"}
+    assert len(moved) == 20 and not moved & set(names)
+    assert not [k for k in moved for m in (leetoric.toric, interleave) if hasattr(m, k)]

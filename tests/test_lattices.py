@@ -14,6 +14,7 @@ from leetoric import (
     determinant,
     hermite_decomposition,
     hermite_form,
+    lattices,
     scaling_matrix,
     solve_left,
     verify_chain,
@@ -237,6 +238,13 @@ def test_verify_chain_certified_instances():
     r4 = verify_chain(M4, 9)
     assert r4.det_abs == 9 and r4.scaled_index == 729
     assert r4.inclusion_holds and r4.strictly_nested
+
+
+def test_verify_chain_reduces_its_matrix_once(monkeypatch):
+    calls, reduce = [], lattices.hermite_decomposition
+    monkeypatch.setattr(lattices, "hermite_decomposition", lambda m: calls.append(m) or reduce(m))
+    assert verify_chain(scaling_matrix(9, 4), 9).inclusion_holds
+    assert len(calls) == 1
 
 
 def test_verify_chain_scaled_index_agrees_with_coset_count():

@@ -8,29 +8,31 @@ import numpy as np
 import pytest
 
 from leetoric import (
-    Cell,
     CodeParams,
-    boundary_support,
     commutation_check,
-    enumerate_faces,
-    face_from_index,
-    face_index,
-    face_owner,
     literature_params,
     minimum_distance,
     new_code_params,
-    star_support,
 )
 from leetoric import toric
 from leetoric.toric import (
     MAX_INCIDENCES,
     axes_tuples,
     overlap_multiplicities,
-    position_rank,
-    position_unrank,
     qubit_cell_dim,
     stabilizer_counts,
     support_rows,
+)
+from oracles import (
+    Cell,
+    boundary_support,
+    enumerate_faces,
+    face_from_index,
+    face_index,
+    face_owner,
+    position_rank,
+    position_unrank,
+    star_support,
 )
 
 
