@@ -3,9 +3,10 @@
 The interleaver is a bijection between logical indices (cross-section j,
 block slot b, codeword position i) and physical slots (owner hypercube plus
 one of its owned faces).  Logical index (j, b, i) goes to the hypercube
-sitting at codeword_i + offset_j, so every hypercube carries qubits of a
-single cross-section, namely the one matching its own offset label inside
-its Lee-sphere tile.  A burst confined to one tile therefore touches each
+codeword_i + offset_j, row j of the torus table lee.sphere_shifts at the
+codeword's rank, so every hypercube carries qubits of a single
+cross-section, namely the one matching its own offset label inside its
+Lee-sphere tile.  A burst confined to one tile therefore touches each
 cross-section at most once, which is exactly what the sweeps below certify.
 
 A burst at an anchor may err at most one face per hypercube of the tile
@@ -20,13 +21,13 @@ exhaustive sweep cheap on both certified instances, and it is the default.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import TYPE_CHECKING, Optional
 
 from .instances import certified_code, require_certified
-from .lee import LeeCode, lee_sphere
+from .lee import LeeCode, sphere_shifts
 from .toric import CodeParams, axes_tuples, qubit_cell_dim
 
 # numpy is imported inside the functions that build arrays, not here: this
@@ -65,7 +66,7 @@ class PhysicalSlot:
     slot: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InterleaverMap:
     """The interleaver of a perfect code, held as rank arrays.
 
@@ -78,12 +79,14 @@ class InterleaverMap:
     q: int
     n: int
     alpha: int
-    hypercube_rank: np.ndarray = field(compare=False)
-    block_of: np.ndarray = field(compare=False)
+    hypercube_rank: np.ndarray
+    block_of: np.ndarray
 
     @cached_property
     def forward(self) -> dict[LogicalIndex, PhysicalSlot]:
-        coords = (self.hypercube_rank[..., None] // _radix(self.q, self.n)) % self.q
+        import numpy as np
+
+        coords = np.stack(np.unravel_index(self.hypercube_rank, (self.q,) * self.n), -1)
         return {
             LogicalIndex(j, b, i): PhysicalSlot(hyper, b)
             for j, section in enumerate(coords.tolist())
@@ -122,20 +125,6 @@ class BurstSweepSummary:
     masks_checked: Optional[int]
 
 
-def _radix(q: int, n: int) -> np.ndarray:
-    import numpy as np
-
-    return q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-
-
-def _sphere_ranks(points: np.ndarray, q: int, n: int) -> np.ndarray:
-    # ranks[p, k] = row-major rank of points[p] + k-th sphere offset, mod q
-    import numpy as np
-
-    offsets = np.array(lee_sphere(n).offsets, dtype=np.int64)
-    return ((points[:, None, :] + offsets) % q) @ _radix(q, n)
-
-
 def build_interleaver(code: LeeCode) -> InterleaverMap:
     """Bijection between logical indices and physical slots of a perfect code.
 
@@ -147,8 +136,8 @@ def build_interleaver(code: LeeCode) -> InterleaverMap:
     import numpy as np
 
     q, n = code.q, code.n
-    words = np.array(code.codewords, dtype=np.int64).reshape(-1, n)
-    hypercube_rank = _sphere_ranks(words, q, n).T
+    words = np.array(code.codewords, dtype=np.int64).reshape(-1, n) % q
+    hypercube_rank = sphere_shifts(q, n)[:, np.ravel_multi_index(words.T, (q,) * n)]
     if np.any(np.bincount(hypercube_rank.ravel(), minlength=q**n) != 1):
         raise ValueError("interleaver requires a perfect code")
     sections = np.arange(hypercube_rank.shape[0])[:, None]
@@ -171,9 +160,7 @@ def _tile_classes(imap: InterleaverMap) -> np.ndarray:
     # cls[a, k] = bitmask of the cells of anchor a's tile in cell k's block
     import numpy as np
 
-    q, n = imap.q, imap.n
-    anchors = np.indices((q,) * n).reshape(n, -1).T
-    blocks = imap.block_of[_sphere_ranks(anchors, q, n)]
+    blocks = imap.block_of[sphere_shifts(imap.q, imap.n).T]
     same = blocks[:, :, None] == blocks[:, None, :]
     return same @ (1 << np.arange(blocks.shape[1]))
 

@@ -11,13 +11,20 @@ codeword + offset once, on first use, into its own point -> (codeword,
 offset index) cover.  The tiling check asks whether that cover exists, and
 decoding is one lookup in it; the offset index doubles as the point's
 cross-section label.  The cover lives on the code and goes with it.
+
+lee_sphere fixes the offset order once; sphere_shifts turns it into the
+torus table from which every array engine takes its neighbours.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
+
+# numpy is imported inside sphere_shifts: `import leetoric` must not load it
+if TYPE_CHECKING:
+    import numpy as np
 
 Vec = tuple[int, ...]
 
@@ -139,13 +146,22 @@ def lee_sphere(n: int) -> LeeSphere:
     """The 2n+1 radius-1 offsets: zero first, then +e_i, -e_i per axis."""
     if n < 1:
         raise ValueError("dimension must be positive")
-    offs: list[Vec] = [(0,) * n]
-    for i in range(n):
-        for s in (1, -1):
-            v = [0] * n
-            v[i] = s
-            offs.append(tuple(v))
-    return LeeSphere(n=n, offsets=tuple(offs))
+    axes = [tuple(s * (j == i) for j in range(n)) for i in range(n) for s in (1, -1)]
+    return LeeSphere(n=n, offsets=((0,) * n, *axes))
+
+
+def sphere_shifts(q: int, n: int) -> np.ndarray:
+    """Torus neighbours: one row per lee_sphere(n) offset, in its order.
+
+    Row k maps the row-major rank of each x in Z_q^n to the rank of
+    x + offsets[k]: row 0 is the identity, rows 2a+1, 2a+2 step +e_a, -e_a.
+    """
+    import numpy as np
+
+    _require_points(q, n)
+    grid = np.arange(q**n, dtype=np.int64).reshape((q,) * n)
+    offsets = lee_sphere(n).offsets
+    return np.stack([np.roll(grid, np.negative(o), range(n)).ravel() for o in offsets])
 
 
 def tiling_check(code: LeeCode) -> bool:

@@ -153,6 +153,8 @@ _TABLE_TITLES = {
 _CSV_FIELDS = (
     "table", "label", "n", "k", "t", "rate", "gain", "rate_exact", "gain_exact",
 )
+# json-lines carries the counts as numbers and every other field as a string
+_JSON_TYPES = [int if f in ("table", "n", "k", "t") else str for f in _CSV_FIELDS]
 
 
 def emit_tables(fmt: str) -> str:
@@ -196,32 +198,38 @@ def emit_tables(fmt: str) -> str:
 
 
 def parse_tables(text: str, fmt: str) -> tuple[TableRow, ...]:
-    """Inverse of emit_tables for the machine formats (csv, json-lines)."""
-    rows = []
+    """Inverse of emit_tables for the machine formats (csv, json-lines).
+
+    Every record must carry exactly the emitted fields; a missing, extra or
+    unparsable one raises ValueError.
+    """
     if fmt == "csv":
         reader = csv.reader(io.StringIO(text))
-        header = next(reader)
-        if tuple(header) != _CSV_FIELDS:
+        if tuple(next(reader, ())) != _CSV_FIELDS:
             raise ValueError("unexpected csv header")
-        records = [dict(zip(_CSV_FIELDS, row)) for row in reader]
+        records = list(reader)
     elif fmt == "json-lines":
-        records = [json.loads(line) for line in text.splitlines() if line.strip()]
+        records = []
+        for line in filter(str.strip, text.splitlines()):
+            rec = json.loads(line)
+            if not isinstance(rec, dict) or rec.keys() != set(_CSV_FIELDS):
+                raise ValueError(f"json-lines record must have the keys {_CSV_FIELDS}")
+            values = [rec[key] for key in _CSV_FIELDS]
+            if list(map(type, values)) != _JSON_TYPES:
+                raise ValueError("json-lines record has a field of the wrong type")
+            records.append(list(map(str, values)))
     else:
         raise ValueError("unknown format")
+    rows = []
     for rec in records:
-        rows.append(
-            TableRow(
-                table=int(rec["table"]),
-                label=rec["label"],
-                n_code=int(rec["n"]),
-                k=int(rec["k"]),
-                t=int(rec["t"]),
-                rate_printed=rec["rate"],
-                gain_printed=rec["gain"],
-                rate_exact=Fraction(rec["rate_exact"]),
-                gain_exact=Fraction(rec["gain_exact"]),
-            )
-        )
+        if len(rec) != len(_CSV_FIELDS):
+            raise ValueError(f"record has {len(rec)} fields, not {len(_CSV_FIELDS)}")
+        table, label, n_code, k, t, rate, gain, rate_exact, gain_exact = rec
+        rows.append(TableRow(
+            table=int(table), label=label, n_code=int(n_code), k=int(k), t=int(t),
+            rate_printed=rate, gain_printed=gain,
+            rate_exact=Fraction(rate_exact), gain_exact=Fraction(gain_exact),
+        ))
     return tuple(rows)
 
 

@@ -3,10 +3,11 @@
 Qubits live on the axis-aligned 2-cells of the periodic q^n cubical complex
 for n >= 3, and on edges in two dimensions.  A qubit cell's index is its
 axes block (sorted axes subsets, lexicographic) times q^n plus the row-major
-rank of its lower corner.  Stabilizer supports are rows of such indices
-built by rank arithmetic: X-type operators sit on the cells one dimension
-below the qubit cells, Z-type on the cells one dimension above, and
-commutation is just overlap parity.
+rank of its lower corner.  Stabilizer supports are rows of such indices,
+their neighbouring corners read off the torus table lee.sphere_shifts:
+X-type operators sit on the cells one dimension below the qubit cells,
+Z-type on the cells one dimension above, and commutation is just overlap
+parity.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import TYPE_CHECKING, Iterator, Optional
+
+from .lee import sphere_shifts
 
 # numpy is imported inside the functions that build arrays, not here: this
 # module is on the `import leetoric` path of every CLI command, and only
@@ -87,12 +90,6 @@ def stabilizer_counts(q: int, n: int) -> dict:
     }
 
 
-def _step(rank: np.ndarray, radix: int, q: int, delta: int) -> np.ndarray:
-    # Move every position one step along the axis with this radix, mod q.
-    digit = rank // radix % q
-    return rank + ((digit + delta) % q - digit) * radix
-
-
 def support_rows(q: int, n: int, kind: str) -> np.ndarray:
     """All X (star) or Z (boundary) supports, one sorted row per anchor.
 
@@ -105,20 +102,19 @@ def support_rows(q: int, n: int, kind: str) -> np.ndarray:
     k = qubit_cell_dim(n)
     if kind not in ("X", "Z"):
         raise ValueError("kind must be 'X' or 'Z'")
-    cells = q**n
-    face_block = {axes: i * cells for i, axes in enumerate(axes_tuples(n, k))}
-    radix = [q ** (n - 1 - a) for a in range(n)]
-    rank = np.arange(cells, dtype=np.int64)
+    face_block = {axes: i * q**n for i, axes in enumerate(axes_tuples(n, k))}
+    # rows 0, 2a+1 and 2a+2: each vertex, its +e_a and its -e_a neighbour
+    shifts = sphere_shifts(q, n)
     blocks = []
     for axes in axes_tuples(n, k - 1 if kind == "X" else k + 1):
         cols = []
         for a in range(n):
             if kind == "X" and a not in axes:
                 base = face_block[tuple(sorted(axes + (a,)))]
-                cols += [base + rank, base + _step(rank, radix[a], q, -1)]
+                cols += [base + shifts[0], base + shifts[2 * a + 2]]
             elif kind == "Z" and a in axes:
                 base = face_block[tuple(x for x in axes if x != a)]
-                cols += [base + rank, base + _step(rank, radix[a], q, 1)]
+                cols += [base + shifts[0], base + shifts[2 * a + 1]]
         blocks.append(np.stack(cols, axis=1))
     return np.sort(np.concatenate(blocks), axis=1)
 

@@ -112,6 +112,12 @@ def test_build_rejects_nonperfect_code():
         build_interleaver(broken)
 
 
+def test_doctored_map_is_not_equal_to_the_certified_one(imap3):
+    doctored = replace(imap3, block_of=np.zeros_like(imap3.block_of))
+    assert doctored != imap3
+    assert imap3 == imap3
+
+
 def test_slot_face_index_roundtrip(imap3):
     for ps in list(imap3.inverse)[:100]:
         idx = slot_to_face_index(7, 3, ps)

@@ -218,6 +218,19 @@ def test_coset_count_matches_enumeration_oracle(inner_rows, expected):
     assert len(reps) == expected
 
 
+def test_coset_count_of_a_product_lattice_is_the_factor_determinant():
+    # L(A·M) is a sublattice of L(M) of index |det A|, for any nonsingular A
+    rng = random.Random(19)
+    pairs = 0
+    while pairs < 60:
+        n = rng.choice((1, 2, 3, 4))
+        m, a = random_matrix(rng, n), random_matrix(rng, n)
+        if det_oracle(m) == 0 or det_oracle(a) == 0:
+            continue
+        assert coset_count(m, a.matmul(m)) == abs(det_oracle(a))
+        pairs += 1
+
+
 def test_coset_count_rejects_non_sublattice():
     with pytest.raises(ValueError, match="not a sublattice"):
         coset_count(IntMatrix.scalar(2, 2), IntMatrix.identity(2))

@@ -20,6 +20,8 @@ from leetoric import (
     symmetric_residue,
     tiling_check,
 )
+from leetoric.lee import sphere_shifts
+from oracles import position_rank, position_unrank
 
 
 def lee_weight_oracle(v, q):
@@ -174,6 +176,26 @@ def test_lee_sphere_frozen_orders():
     assert all(mannheim_weight(o, 9) <= 1 for o in four.offsets)
     with pytest.raises(ValueError):
         lee_sphere(0)
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (5, 2), (7, 3), (3, 4), (9, 4)])
+def test_sphere_shifts_match_per_point_oracle(q, n):
+    table = sphere_shifts(q, n)
+    offsets = lee_sphere(n).offsets
+    assert table.shape == (2 * n + 1, q**n)
+    expected = [
+        [
+            position_rank([x + o for x, o in zip(position_unrank(r, q, n), off)], q)
+            for r in range(q**n)
+        ]
+        for off in offsets
+    ]
+    assert table.tolist() == expected
+    assert np.array_equal(table[0], np.arange(q**n))
+    assert all(np.array_equal(np.sort(row), np.arange(q**n)) for row in table)
+    if q == 2:
+        # +e_a and -e_a are the same step on a torus of side 2
+        assert np.array_equal(table[1::2], table[2::2])
 
 
 def test_tiling_certified_codes(code3, code4):

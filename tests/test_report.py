@@ -135,6 +135,31 @@ def test_unknown_format_rejected():
         parse_tables("bad,header\n1,2", "csv")
 
 
+_CSV_ROW = emit_tables("csv").splitlines()[1]
+_JSON_RECORD = json.loads(emit_tables("json-lines").splitlines()[0])
+
+
+@pytest.mark.parametrize(
+    "text,fmt",
+    [
+        (emit_tables("csv") + _CSV_ROW + ",extra\n", "csv"),
+        (emit_tables("csv") + _CSV_ROW.rsplit(",", 1)[0] + "\n", "csv"),
+        (json.dumps({k: v for k, v in _JSON_RECORD.items() if k != "gain"}), "json-lines"),
+        ("[1, 2, 3]\n", "json-lines"),
+        ("", "csv"),
+        (json.dumps({**_JSON_RECORD, "table": None}), "json-lines"),
+        (json.dumps({**_JSON_RECORD, "k": True}), "json-lines"),
+    ],
+    ids=[
+        "csv-extra-field", "csv-short-row", "json-missing-key", "json-not-object",
+        "csv-empty", "json-null-field", "json-bool-count",
+    ],
+)
+def test_parse_tables_refuses_malformed_records(text, fmt):
+    with pytest.raises(ValueError):
+        parse_tables(text, fmt)
+
+
 def test_certificate_fields_and_serialization():
     cert = make_certificate(
         "perfect-tiling", {"q": 7, "n": 3}, True, {"codewords": 49}
