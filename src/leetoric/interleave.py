@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .instances import certified_code, require_certified
 from .lee import LeeCode, sphere_shifts
-from .toric import CodeParams, axes_tuples, qubit_cell_dim
+from .toric import CodeParams, qubits_per_vertex
 
 # numpy is imported inside the functions that build arrays, not here: this
 # module is on the `import leetoric` path of every CLI command, and only
@@ -72,8 +72,9 @@ class InterleaverMap:
 
     hypercube_rank[j, i] is the row-major rank of the hypercube
     codeword_i + offset_j, and block_of[r] is the constituent code block
-    j * ceil(|C| / q) + i div q that owns every slot of hypercube r.  The
-    forward and inverse dictionaries are built from them on first access.
+    j * ceil(|C| / q) + i div q that owns every slot of hypercube r.  Both
+    arrays are read-only; the forward and inverse dictionaries are built
+    from them on first access.
     """
 
     q: int
@@ -145,9 +146,10 @@ def build_interleaver(code: LeeCode) -> InterleaverMap:
     block_of[hypercube_rank] = (
         sections * math.ceil(len(words) / q) + np.arange(len(words)) // q
     )
-    alpha = len(axes_tuples(n, qubit_cell_dim(n)))
+    hypercube_rank.flags.writeable = block_of.flags.writeable = False
     return InterleaverMap(
-        q=q, n=n, alpha=alpha, hypercube_rank=hypercube_rank, block_of=block_of
+        q=q, n=n, alpha=qubits_per_vertex(n), hypercube_rank=hypercube_rank,
+        block_of=block_of,
     )
 
 
@@ -259,15 +261,10 @@ def verify_burst_correction(
 def interleaved_params(q: int, n: int) -> CodeParams:
     """Parameter record of the interleaved code on a certified instance.
 
+    It is q^(n-1) = [L(M) : qZ^n] copies of the new code [[alpha q, alpha]].
     The capability t is the burst-correction capability q; no minimum
     distance is claimed, so the distance field stays empty.
     """
     require_certified(q, n)
-    alpha = len(axes_tuples(n, qubit_cell_dim(n)))
-    return CodeParams(
-        n_code=alpha * q**n,
-        k=alpha * q ** (n - 1),
-        d=None,
-        t=q,
-        label=f"interleaved-{n}d-q{q}",
-    )
+    alpha = qubits_per_vertex(n)
+    return CodeParams(n_code=alpha * q**n, k=alpha * q ** (n - 1), d=None, t=q)

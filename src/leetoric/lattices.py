@@ -114,39 +114,33 @@ def hermite_decomposition(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     and coset counting rely on.
     """
     n = m.n
-    h = [list(r) for r in m.rows]
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    # one elimination of the augmented rows [m | I] leaves [H | U]
+    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m.rows)]
     for c in range(n):
-        piv = next((r for r in range(c, n) if h[r][c] != 0), None)
+        piv = next((r for r in range(c, n) if a[r][c] != 0), None)
         if piv is None:
             raise ValueError("singular matrix")
-        if piv != c:
-            h[c], h[piv] = h[piv], h[c]
-            u[c], u[piv] = u[piv], u[c]
+        a[c], a[piv] = a[piv], a[c]
         for r in range(c + 1, n):
-            if h[r][c] == 0:
+            if a[r][c] == 0:
                 continue
-            a, b = h[c][c], h[r][c]
-            g, s, t = _xgcd(a, b)
-            p, q = a // g, b // g
+            g, s, t = _xgcd(a[c][c], a[r][c])
+            p, q = a[c][c] // g, a[r][c] // g
             # 2x2 unimodular row transform: det(s*p + t*q) = g/g = 1.
-            h[c], h[r] = (
-                [s * x + t * y for x, y in zip(h[c], h[r])],
-                [-q * x + p * y for x, y in zip(h[c], h[r])],
+            a[c], a[r] = (
+                [s * x + t * y for x, y in zip(a[c], a[r])],
+                [-q * x + p * y for x, y in zip(a[c], a[r])],
             )
-            u[c], u[r] = (
-                [s * x + t * y for x, y in zip(u[c], u[r])],
-                [-q * x + p * y for x, y in zip(u[c], u[r])],
-            )
-        if h[c][c] < 0:
-            h[c] = [-x for x in h[c]]
-            u[c] = [-x for x in u[c]]
+        if a[c][c] < 0:
+            a[c] = [-x for x in a[c]]
         for r in range(c):
-            f = h[r][c] // h[c][c]
+            f = a[r][c] // a[c][c]
             if f:
-                h[r] = [x - f * y for x, y in zip(h[r], h[c])]
-                u[r] = [x - f * y for x, y in zip(u[r], u[c])]
-    return IntMatrix.from_rows(h), IntMatrix.from_rows(u)
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return (
+        IntMatrix.from_rows([r[:n] for r in a]),
+        IntMatrix.from_rows([r[n:] for r in a]),
+    )
 
 
 def hermite_form(m: IntMatrix) -> IntMatrix:

@@ -80,15 +80,23 @@ def _significant_digits(rendered: str) -> int:
     return len(rendered.replace("-", "").replace(".", "").lstrip("0"))
 
 
-def render_rate(rate: Fraction, min_significant: int = 3, places: int = 4) -> str:
-    """Half-even decimal rendering, widened until enough digits survive."""
+_RATE_PLACES = 4
+_MIN_SIGNIFICANT = 3
+
+
+def render_rate(rate: Fraction) -> str:
+    """Half-even decimal rendering, widened until enough digits survive.
+
+    Starts at _RATE_PLACES places and widens, to at most twelve, until
+    _MIN_SIGNIFICANT significant digits survive.
+    """
     if rate <= 0:
         raise ValueError("rate must be positive")
-    while True:
+    for places in range(_RATE_PLACES, 13):
         s = str(_round_half_even(rate, places))
-        if _significant_digits(s) >= min_significant or places >= 12:
-            return s
-        places += 1
+        if _significant_digits(s) >= _MIN_SIGNIFICANT:
+            break
+    return s
 
 
 def _trim_zeros(rendered: str) -> str:
@@ -109,39 +117,31 @@ def rate_gain(p: CodeParams) -> RateGain:
     )
 
 
-_LITERATURE_FORMS = {3: "3q^3", 4: "6q^4"}
-_INTERLEAVED_FORMS = {3: ("3q^3", "3q^2"), 4: ("6q^4", "6q^3")}
-
-
 def _row(table: int, label: str, p: CodeParams) -> TableRow:
     rg = rate_gain(p)
     return TableRow(
-        table=table,
-        label=label,
-        n_code=p.n_code,
-        k=p.k,
-        t=p.t,
-        rate_printed=rg.rate_printed,
-        gain_printed=rg.gain_printed,
-        rate_exact=rg.rate,
-        gain_exact=rg.gain,
+        table=table, label=label, n_code=p.n_code, k=p.k, t=p.t,
+        rate_printed=rg.rate_printed, gain_printed=rg.gain_printed,
+        rate_exact=rg.rate, gain_exact=rg.gain,
     )
 
 
 def table_rows() -> tuple[TableRow, ...]:
-    """The six golden rows: four comparison rows, then the two interleaved."""
+    """The six golden rows: four comparison rows, then the two interleaved.
+
+    Labels spell each record as its qubits per vertex times its vertex count.
+    """
     rows = []
     for q, n in CERTIFIED:
         p = literature_params(q, n)
-        rows.append(_row(1, f"[[{_LITERATURE_FORMS[n]},{p.k},t={p.t}]] (q={q})", p))
+        rows.append(_row(1, f"[[{p.k}q^{n},{p.k},t={p.t}]] (q={q})", p))
     for q, n in CERTIFIED:
         p = new_code_params(q, n)
-        label = f"[[{p.n_code // q}q={p.n_code},k={p.k},t={p.t}]] (q={q})"
-        rows.append(_row(1, label, p))
+        rows.append(_row(1, f"[[{p.k}q={p.n_code},k={p.k},t={p.t}]] (q={q})", p))
     for q, n in CERTIFIED:
         p = interleaved_params(q, n)
-        nf, kf = _INTERLEAVED_FORMS[n]
-        rows.append(_row(2, f"[[{nf},{kf},t_i=q]] (q={q})", p))
+        a = p.n_code // q**n
+        rows.append(_row(2, f"[[{a}q^{n},{a}q^{n - 1},t_i=q]] (q={q})", p))
     return tuple(rows)
 
 
@@ -155,6 +155,14 @@ _CSV_FIELDS = (
 )
 # json-lines carries the counts as numbers and every other field as a string
 _JSON_TYPES = [int if f in ("table", "n", "k", "t") else str for f in _CSV_FIELDS]
+
+
+def _record(r: TableRow) -> tuple:
+    """The row's _CSV_FIELDS values, typed as json-lines carries them."""
+    return (
+        r.table, r.label, r.n_code, r.k, r.t, r.rate_printed, r.gain_printed,
+        str(r.rate_exact), str(r.gain_exact),
+    )
 
 
 def emit_tables(fmt: str) -> str:
@@ -178,22 +186,12 @@ def emit_tables(fmt: str) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(_CSV_FIELDS)
-        for r in rows:
-            writer.writerow(
-                [r.table, r.label, r.n_code, r.k, r.t, r.rate_printed,
-                 r.gain_printed, str(r.rate_exact), str(r.gain_exact)]
-            )
+        writer.writerows(map(_record, rows))
         return buf.getvalue()
     if fmt == "json-lines":
-        lines = []
-        for r in rows:
-            rec = {
-                "table": r.table, "label": r.label, "n": r.n_code, "k": r.k,
-                "t": r.t, "rate": r.rate_printed, "gain": r.gain_printed,
-                "rate_exact": str(r.rate_exact), "gain_exact": str(r.gain_exact),
-            }
-            lines.append(json.dumps(rec))
-        return "\n".join(lines) + "\n"
+        return "".join(
+            json.dumps(dict(zip(_CSV_FIELDS, _record(r)))) + "\n" for r in rows
+        )
     raise ValueError("unknown format")
 
 
@@ -225,10 +223,14 @@ def parse_tables(text: str, fmt: str) -> tuple[TableRow, ...]:
         if len(rec) != len(_CSV_FIELDS):
             raise ValueError(f"record has {len(rec)} fields, not {len(_CSV_FIELDS)}")
         table, label, n_code, k, t, rate, gain, rate_exact, gain_exact = rec
+        try:
+            rate_exact, gain_exact = Fraction(rate_exact), Fraction(gain_exact)
+        except ZeroDivisionError:
+            raise ValueError("record has a zero denominator") from None
         rows.append(TableRow(
             table=int(table), label=label, n_code=int(n_code), k=int(k), t=int(t),
             rate_printed=rate, gain_printed=gain,
-            rate_exact=Fraction(rate_exact), gain_exact=Fraction(gain_exact),
+            rate_exact=rate_exact, gain_exact=gain_exact,
         ))
     return tuple(rows)
 

@@ -17,6 +17,7 @@ from itertools import combinations
 from math import comb
 from typing import TYPE_CHECKING, Iterator, Optional
 
+from .instances import require_certified
 from .lee import sphere_shifts
 
 # numpy is imported inside the functions that build arrays, not here: this
@@ -39,7 +40,6 @@ class CodeParams:
     k: int
     d: Optional[int]
     t: int
-    label: str
 
     def __post_init__(self) -> None:
         if not (self.n_code >= self.k >= 1):
@@ -58,6 +58,11 @@ def qubit_cell_dim(n: int) -> int:
     if n < 2:
         raise ValueError("torus dimension must be at least 2")
     return 2 if n >= 3 else 1
+
+
+def qubits_per_vertex(n: int) -> int:
+    """alpha = C(n, k): one qubit cell per k-subset of axes at each vertex."""
+    return comb(n, qubit_cell_dim(n))
 
 
 def axes_tuples(n: int, k: int) -> tuple[tuple[int, ...], ...]:
@@ -83,7 +88,7 @@ def stabilizer_counts(q: int, n: int) -> dict:
     cells = q**n
     z_generators = comb(n, k + 1) * cells
     return {
-        "qubits": comb(n, k) * cells,
+        "qubits": qubits_per_vertex(n) * cells,
         "x_generators": comb(n, k - 1) * cells,
         "z_generators": z_generators,
         "incidences_checked": z_generators * 2 * (k + 1) * 2 * k,
@@ -172,28 +177,27 @@ def commutation_check(q: int, n: int) -> bool:
 
 
 def literature_params(q: int, n: int) -> CodeParams:
-    """Parameter record of the standard toric code on the q^n torus."""
+    """Parameter record of the standard toric code on the q^n torus.
+
+    [[alpha q^n, alpha, q^min(c, n-c)]] for qubits on c-cells: there are
+    alpha = C(n, c) = dim H_c(T^n) logical qubits, and the shortest logical
+    operators are the c- and (n-c)-dimensional slices of the torus.
+    """
     if q < 2:
         raise ValueError("need q >= 2")
-    if n == 2:
-        n_code, k, d = 2 * q**2, 2, q
-    elif n == 3:
-        n_code, k, d = 3 * q**3, 3, q
-    elif n == 4:
-        n_code, k, d = 6 * q**4, 6, q**2
-    else:
+    if not 2 <= n <= 4:
         raise ValueError("unsupported dimension")
-    return CodeParams(
-        n_code=n_code, k=k, d=d, t=(d - 1) // 2, label=f"toric-{n}d-q{q}"
-    )
+    alpha, c = qubits_per_vertex(n), qubit_cell_dim(n)
+    d = q ** min(c, n - c)
+    return CodeParams(n_code=alpha * q**n, k=alpha, d=d, t=(d - 1) // 2)
 
 
 def new_code_params(q: int, n: int) -> CodeParams:
-    """Parameter record of the Lee-sphere-based code on the certified tori."""
-    if (q, n) == (7, 3):
-        n_code, k = 3 * q, 3
-    elif (q, n) == (9, 4):
-        n_code, k = 6 * q, 6
-    else:
-        raise ValueError("not certified")
-    return CodeParams(n_code=n_code, k=k, d=3, t=1, label=f"lee-{n}d-q{q}")
+    """Parameter record of the Lee-sphere-based code on the certified tori.
+
+    alpha qubits on each of the q = |det M| vertices of Z^n / L(M); the
+    distance 3 is the Lee code's, which `mindist` certifies.
+    """
+    require_certified(q, n)
+    alpha = qubits_per_vertex(n)
+    return CodeParams(n_code=alpha * q, k=alpha, d=3, t=1)

@@ -118,6 +118,13 @@ def test_doctored_map_is_not_equal_to_the_certified_one(imap3):
     assert imap3 == imap3
 
 
+def test_map_arrays_are_read_only(imap3):
+    with pytest.raises(ValueError):
+        imap3.hypercube_rank[0, 0] = 5
+    with pytest.raises(ValueError):
+        imap3.block_of[0] = 5
+
+
 def test_slot_face_index_roundtrip(imap3):
     for ps in list(imap3.inverse)[:100]:
         idx = slot_to_face_index(7, 3, ps)

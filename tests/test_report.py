@@ -74,7 +74,7 @@ def test_rate_gain_frozen_renderings():
 
 
 def test_gain_trailing_zeros_trimmed():
-    synthetic = CodeParams(n_code=2, k=1, d=None, t=1, label="half")
+    synthetic = CodeParams(n_code=2, k=1, d=None, t=1)
     rg = rate_gain(synthetic)
     assert rg.rate_printed == "0.5000"
     assert rg.gain_printed == "1"
@@ -149,10 +149,13 @@ _JSON_RECORD = json.loads(emit_tables("json-lines").splitlines()[0])
         ("", "csv"),
         (json.dumps({**_JSON_RECORD, "table": None}), "json-lines"),
         (json.dumps({**_JSON_RECORD, "k": True}), "json-lines"),
+        (emit_tables("csv") + _CSV_ROW.rsplit(",", 1)[0] + ",1/0\n", "csv"),
+        (json.dumps({**_JSON_RECORD, "rate_exact": "1/0"}), "json-lines"),
     ],
     ids=[
         "csv-extra-field", "csv-short-row", "json-missing-key", "json-not-object",
-        "csv-empty", "json-null-field", "json-bool-count",
+        "csv-empty", "json-null-field", "json-bool-count", "csv-zero-denominator",
+        "json-zero-denominator",
     ],
 )
 def test_parse_tables_refuses_malformed_records(text, fmt):

@@ -8,11 +8,15 @@ import numpy as np
 import pytest
 
 from leetoric import (
+    CERTIFIED,
     CodeParams,
     commutation_check,
+    interleaved_params,
     literature_params,
     minimum_distance,
     new_code_params,
+    scaling_matrix,
+    verify_chain,
 )
 from leetoric import toric
 from leetoric.toric import (
@@ -327,16 +331,54 @@ def test_new_code_distance_matches_lee_code(code3, code4):
     assert new_code_params(9, 4).d == minimum_distance(code4)
 
 
+def gf2_rank(rows: np.ndarray, n_cols: int) -> int:
+    """Rank over GF(2) of the dense 0/1 matrix with ones at row i's indices."""
+    m = np.zeros((len(rows), n_cols), dtype=np.uint8)
+    np.add.at(m, (np.arange(len(rows))[:, None], rows), 1)
+    m %= 2
+    rank = 0
+    for c in range(n_cols):
+        hits = np.flatnonzero(m[rank:, c])
+        if hits.size == 0:
+            continue
+        m[[rank, rank + hits[0]]] = m[[rank + hits[0], rank]]
+        others = np.flatnonzero(m[:, c])
+        m[others[others != rank]] ^= m[rank]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (3, 2), (5, 2), (3, 3), (3, 4)])
+def test_literature_params_match_the_complex(q, n):
+    # k = N - rank(hx) - rank(hz) is dim H_c(T^n) of the complex itself
+    p = literature_params(q, n)
+    assert p.n_code == stabilizer_counts(q, n)["qubits"]
+    hx, hz = support_rows(q, n, "X"), support_rows(q, n, "Z")
+    assert p.n_code - gf2_rank(hx, p.n_code) - gf2_rank(hz, p.n_code) == p.k
+
+
+@pytest.mark.parametrize("q,n", CERTIFIED)
+def test_code_records_count_qubits_per_vertex(q, n):
+    alpha = len(axes_tuples(n, qubit_cell_dim(n)))
+    chain = verify_chain(scaling_matrix(q, n), q)
+    new, interleaved = new_code_params(q, n), interleaved_params(q, n)
+    assert literature_params(q, n).n_code == stabilizer_counts(q, n)["qubits"]
+    assert new.n_code == alpha * chain.det_abs
+    # the interleaved code is [L(M) : qZ^n] copies of the new code
+    assert interleaved.n_code == chain.scaled_index * new.n_code
+    assert interleaved.k == chain.scaled_index * new.k
+
+
 def test_code_params_validation():
     with pytest.raises(ValueError):
-        CodeParams(n_code=10, k=2, d=3, t=2, label="bad-t")
+        CodeParams(n_code=10, k=2, d=3, t=2)
     with pytest.raises(ValueError):
-        CodeParams(n_code=10, k=2, d=0, t=0, label="bad-d")
+        CodeParams(n_code=10, k=2, d=0, t=0)
     with pytest.raises(ValueError):
-        CodeParams(n_code=1, k=2, d=3, t=1, label="bad-k")
+        CodeParams(n_code=1, k=2, d=3, t=1)
     with pytest.raises(ValueError):
-        CodeParams(n_code=10, k=2, d=None, t=-1, label="bad-cap")
-    capability_only = CodeParams(n_code=10, k=2, d=None, t=5, label="ok")
+        CodeParams(n_code=10, k=2, d=None, t=-1)
+    capability_only = CodeParams(n_code=10, k=2, d=None, t=5)
     assert capability_only.d is None and capability_only.t == 5
 
 
