@@ -7,10 +7,11 @@ perfection means those spheres tile Z_q^n with no gaps and no overlaps.
 
 For a radius-1 code "the spheres tile Z_q^n" and "every point decodes
 uniquely" are one fact, so one pass serves both: each code places every
-codeword + offset once, on first use, into its own point -> (codeword,
-offset index) cover.  The tiling check asks whether that cover exists, and
-decoding is one lookup in it; the offset index doubles as the point's
-cross-section label.  The cover lives on the code and goes with it.
+codeword + offset once, on first use, into its own point -> DecodeResult
+cover, unless |C|(2n+1) != q^n rules a tiling out before any is built.  The
+tiling check asks whether that cover exists, and a decode is one lookup that
+returns the cover's shared, immutable result; the offset index doubles as
+the point's cross-section label.  The cover lives on the code and goes with it.
 
 lee_sphere fixes the offset order once; sphere_shifts turns it into the
 torus table from which every array engine takes its neighbours.
@@ -20,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Optional, Sequence
+from operator import index
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 # numpy is imported inside sphere_shifts: `import leetoric` must not load it
 if TYPE_CHECKING:
@@ -49,19 +51,19 @@ class LeeCode:
             raise ValueError("dimension must be positive")
 
     @cached_property
-    def _cover(self) -> Optional[dict[Vec, tuple[Vec, int]]]:
-        # Point -> (codeword, offset index) for every codeword + offset, or
-        # None when two spheres overlap or some point is left uncovered.
+    def _cover(self) -> Optional[dict[Vec, DecodeResult]]:
+        # Point -> DecodeResult, or None unless the spheres tile: |C|(2n+1)
+        # = q^n placements on q^n distinct points leave no overlap and no gap.
         q = self.q
         _require_points(q, self.n)
         offsets = lee_sphere(self.n).offsets
-        cover: dict[Vec, tuple[Vec, int]] = {}
-        for c in self.codewords:
-            for j, o in enumerate(offsets):
-                p = tuple((a + b) % q for a, b in zip(c, o))
-                if p in cover:
-                    return None
-                cover[p] = (c, j)
+        if len(self.codewords) * len(offsets) != q**self.n:
+            return None
+        cover = {
+            tuple([(a + b) % q for a, b in zip(c, o)]): DecodeResult(c, j)
+            for c in self.codewords
+            for j, o in enumerate(offsets)
+        }
         return cover if len(cover) == q**self.n else None
 
 
@@ -73,8 +75,7 @@ class LeeSphere:
     offsets: tuple[Vec, ...]
 
 
-@dataclass(frozen=True)
-class DecodeResult:
+class DecodeResult(NamedTuple):
     codeword: Vec
     offset_index: int
 
@@ -104,7 +105,8 @@ def enumerate_codewords(generators: Sequence[Sequence[int]], q: int, n: int) -> 
     The closure of a finite set under addition mod q is the subgroup it
     generates, so the result always contains 0 (first) and is closed under
     addition.  Enumeration order is stable: breadth-first from 0, generators
-    applied in the order given.
+    applied in the order given.  Entries must be integers (operator.index):
+    a float or a string raises TypeError rather than being truncated.
     """
     if not generators:
         raise ValueError("generators must be nonempty")
@@ -115,7 +117,7 @@ def enumerate_codewords(generators: Sequence[Sequence[int]], q: int, n: int) -> 
     for g in generators:
         if len(g) != n:
             raise ValueError("generator dimension mismatch")
-        gens.append(tuple(int(x) % q for x in g))
+        gens.append(tuple(index(x) % q for x in g))
     zero = (0,) * n
     seen = {zero}
     order = [zero]
@@ -174,11 +176,13 @@ def decode_nearest(point: Sequence[int], code: LeeCode) -> DecodeResult:
 
     Only defined for perfect codes; anything else raises, because two
     codewords would then compete for (or none would cover) some point.
+    Coordinates must be integers (operator.index): a float or a string raises
+    TypeError.  All points of one sphere share one immutable result.
     """
     if len(point) != code.n:
         raise ValueError("dimension mismatch")
     cover = code._cover
     if cover is None:
         raise ValueError("decoding not unique")
-    codeword, j = cover[tuple(int(x) % code.q for x in point)]
-    return DecodeResult(codeword=codeword, offset_index=j)
+    q = code.q
+    return cover[tuple([index(x) % q for x in point])]

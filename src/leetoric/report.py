@@ -33,7 +33,6 @@ class RateGain:
 
     rate: Fraction
     gain: Fraction
-    t: int
     rate_printed: str
     gain_printed: str
 
@@ -111,10 +110,7 @@ def rate_gain(p: CodeParams) -> RateGain:
     gain = rate * (p.t + 1)
     rate_printed = render_rate(rate)
     gain_printed = _trim_zeros(str(Decimal(rate_printed) * (p.t + 1)))
-    return RateGain(
-        rate=rate, gain=gain, t=p.t, rate_printed=rate_printed,
-        gain_printed=gain_printed,
-    )
+    return RateGain(rate, gain, rate_printed, gain_printed)
 
 
 def _row(table: int, label: str, p: CodeParams) -> TableRow:

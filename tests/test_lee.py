@@ -278,6 +278,67 @@ def test_decode_point_reduced_mod_q(code3):
     assert decode_nearest((8, 8, 8), code3) == decode_nearest((1, 1, 1), code3)
 
 
+def test_decode_returns_the_shared_result(code3):
+    res = decode_nearest((8, 8, 8), code3)
+    assert res is decode_nearest((1, 1, 1), code3)
+    assert res == ((2, 1, 1), 2)
+    codeword, label = res
+    assert (codeword, label) == (res.codeword, res.offset_index)
+
+
+def test_decode_result_is_immutable(code3):
+    res = decode_nearest((1, 1, 1), code3)
+    with pytest.raises(AttributeError):
+        res.codeword = (0, 0, 0)
+    with pytest.raises(AttributeError):
+        res.offset_index = 0
+    assert (res.codeword, res.offset_index) == ((2, 1, 1), 2)
+
+
+def test_decode_seeded_unreduced_stream(code3, code4):
+    # points drawn from [-2q, 2q]^n, as the benchmark's decode stream draws them
+    rng = random.Random(20)
+    for code in (code3, code4):
+        q, n = code.q, code.n
+        offsets = lee_sphere(n).offsets
+        for _ in range(3000):
+            p = tuple(rng.randint(-2 * q, 2 * q) for _ in range(n))
+            res = decode_nearest(p, code)
+            off = offsets[res.offset_index]
+            assert tuple((x - o) % q for x, o in zip(p, off)) == res.codeword
+            assert res.offset_index == golomb_welch_label([x % q for x in p], n)
+
+
+@pytest.mark.parametrize("point", [(1.9, 1, 1), ("1", 1, 1), (1, 1, 1.0)])
+def test_decode_refuses_non_integer_coordinates(code3, point):
+    with pytest.raises(TypeError):
+        decode_nearest(point, code3)
+
+
+def test_decode_takes_numpy_integers(code3):
+    point = np.array([8, -6, 1], dtype=np.int64)
+    assert decode_nearest(point, code3) == decode_nearest((1, 1, 1), code3)
+    assert decode_nearest((True, 1, 1), code3) == decode_nearest((1, 1, 1), code3)
+
+
+def test_enumeration_refuses_non_integer_generators():
+    with pytest.raises(TypeError):
+        enumerate_codewords(((0, 1.9, 4), (1, 0, 2)), 7, 3)
+    with pytest.raises(TypeError):
+        enumerate_codewords(((0, "1", 4), (1, 0, 2)), 7, 3)
+    gens = [tuple(np.int64(x) for x in g) for g in code_generators(7, 3)]
+    assert enumerate_codewords(gens, 7, 3) == certified_code(7, 3)
+
+
+def test_wrong_size_code_is_rejected_before_its_cover():
+    # all 343 points as codewords: 343 * 7 placements cannot tile 343 points
+    code = enumerate_codewords(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 7, 3)
+    assert len(code.codewords) == 343
+    assert not tiling_check(code)
+    with pytest.raises(ValueError, match="decoding not unique"):
+        decode_nearest((0, 0, 1), code)
+
+
 def test_decode_nonperfect_raises():
     code = enumerate_codewords(((1, 1, 0), (0, 1, 1)), 7, 3)
     with pytest.raises(ValueError, match="decoding not unique"):

@@ -62,7 +62,6 @@ def test_rate_gain_exact_invariants():
         rg = rate_gain(p)
         assert rg.rate == Fraction(p.k, p.n_code)
         assert rg.gain == rg.rate * (p.t + 1)
-        assert rg.t == p.t
 
 
 def test_rate_gain_frozen_renderings():
