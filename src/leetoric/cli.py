@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
 from typing import Optional, Sequence
 
 from .instances import CERTIFIED, certified_code, code_generators, scaling_matrix
@@ -138,7 +137,7 @@ def _cmd_interleave_verify(args: argparse.Namespace) -> int:
             "seed": summary.seed,
         },
         passed=passed,
-        counts=asdict(summary),
+        counts=summary._asdict(),
     )
     return _emit(cert)
 

@@ -21,10 +21,9 @@ exhaustive sweep cheap on both certified instances, and it is the default.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .instances import certified_code, require_certified
 from .lee import LeeCode, sphere_shifts
@@ -49,8 +48,7 @@ MAX_SAMPLES = 10**8
 _DRAW_CHUNK = 2**14
 
 
-@dataclass(frozen=True)
-class LogicalIndex:
+class LogicalIndex(NamedTuple):
     """Position of a qubit before interleaving."""
 
     cross_section: int
@@ -58,15 +56,13 @@ class LogicalIndex:
     codeword_index: int
 
 
-@dataclass(frozen=True)
-class PhysicalSlot:
+class PhysicalSlot(NamedTuple):
     """Position of a qubit after interleaving: a hypercube plus a face slot."""
 
     hypercube: Vec
     slot: int
 
 
-@dataclass(frozen=True, eq=False)
 class InterleaverMap:
     """The interleaver of a perfect code, held as rank arrays.
 
@@ -74,14 +70,14 @@ class InterleaverMap:
     codeword_i + offset_j, and block_of[r] is the constituent code block
     j * ceil(|C| / q) + i div q that owns every slot of hypercube r.  Both
     arrays are read-only; the forward and inverse dictionaries are built
-    from them on first access.
+    from them on first access.  Maps compare by identity.
     """
 
-    q: int
-    n: int
-    alpha: int
-    hypercube_rank: np.ndarray
-    block_of: np.ndarray
+    def __init__(
+        self, q: int, n: int, alpha: int, hypercube_rank: np.ndarray, block_of: np.ndarray
+    ) -> None:
+        self.q, self.n, self.alpha = q, n, alpha
+        self.hypercube_rank, self.block_of = hypercube_rank, block_of
 
     @cached_property
     def forward(self) -> dict[LogicalIndex, PhysicalSlot]:
@@ -100,8 +96,7 @@ class InterleaverMap:
         return {ps: li for li, ps in self.forward.items()}
 
 
-@dataclass(frozen=True)
-class BurstSweepSummary:
+class BurstSweepSummary(NamedTuple):
     """Reproducible record of one verification sweep.
 
     method names how patterns were judged: "mask-quotient" evaluates every
@@ -243,18 +238,9 @@ def verify_burst_correction(
         used_seed, used_rng = seed, RNG_ALGORITHM
 
     return BurstSweepSummary(
-        q=q,
-        n=n,
-        mode=mode,
-        samples=samples,
-        seed=used_seed,
-        rng_algorithm=used_rng,
-        translates=anchors,
-        patterns_checked=patterns,
-        failures=failures,
-        max_block_errors=max_block,
-        method=method,
-        masks_checked=masks_checked,
+        q=q, n=n, mode=mode, samples=samples, seed=used_seed, rng_algorithm=used_rng,
+        translates=anchors, patterns_checked=patterns, failures=failures,
+        max_block_errors=max_block, method=method, masks_checked=masks_checked,
     )
 
 

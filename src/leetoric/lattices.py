@@ -9,33 +9,37 @@ coset counting, and certification of nested chains Z^n > M Z^n > q Z^n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
-from typing import Optional, Sequence
+from operator import index
+from typing import NamedTuple, Optional, Sequence
 
 Vec = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(NamedTuple("IntMatrix", [("rows", tuple[tuple[int, ...], ...])])):
     """Square integer matrix, used as a lattice generator via its rows.
 
     The row convention matters: a vector v lies in the lattice exactly when
-    v = x . M for some integer row vector x.
+    v = x . M for some integer row vector x.  Entries must be integers
+    (operator.index): a float or a string raises TypeError, not truncation.
     """
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = len(self.rows)
-        if n < 1:
+    def __new__(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
+        rows = tuple(tuple(map(index, r)) for r in rows)
+        if not rows:
             raise ValueError("matrix must have at least one row")
-        if any(len(r) != n for r in self.rows):
+        if any(len(r) != len(rows) for r in rows):
             raise ValueError("matrix must be square")
+        return super().__new__(cls, rows)
+
+    # tuple's _make, and so _replace, would skip the checks in __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        return cls(tuple(tuple(int(x) for x in r) for r in rows))
+        return cls(rows)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -166,23 +170,25 @@ def contains(m: IntMatrix, v: Sequence[int]) -> bool:
     """Whether v lies in the lattice generated by the rows of m."""
     if len(v) != m.n:
         raise ValueError("dimension mismatch")
-    return _solve_upper(hermite_form(m), v) is not None
+    return _solve_upper(hermite_form(m), tuple(map(index, v))) is not None
 
 
 def solve_left(m: IntMatrix, v: Sequence[int]) -> Optional[Vec]:
     """Integer witness x with x . m = v, or None when v is not in the lattice.
 
     When a witness is returned it is re-multiplied against m as a self-check.
+    Entries must be integers (operator.index), as in IntMatrix.
     """
     if len(v) != m.n:
         raise ValueError("dimension mismatch")
+    v = tuple(map(index, v))
     h, u = hermite_decomposition(m)
     y = _solve_upper(h, v)
     if y is None:
         return None
     x = u.rows  # x = y . U
     witness = tuple(sum(y[i] * x[i][j] for i in range(m.n)) for j in range(m.n))
-    if m.left_mul(witness) != tuple(int(c) for c in v):
+    if m.left_mul(witness) != v:
         raise AssertionError("witness re-multiplication failed")
     return witness
 
@@ -210,8 +216,7 @@ def coset_count(outer: IntMatrix, inner: IntMatrix) -> int:
     return quot
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(NamedTuple):
     """Certificate for a nested chain Z^n > M Z^n > q Z^n.
 
     ambient_index is |Z^n / M Z^n| (equal to det_abs); scaled_index is
@@ -255,11 +260,6 @@ def verify_chain(m: IntMatrix, q: int) -> ChainReport:
         if rem:
             raise AssertionError("index ratio is not integral despite inclusion")
     return ChainReport(
-        ambient_dim=n,
-        scale=q,
-        matrix=m,
-        det_abs=det_abs,
-        ambient_index=det_abs,
-        scaled_index=scaled,
-        inclusion_holds=inclusion,
+        ambient_dim=n, scale=q, matrix=m, det_abs=det_abs, ambient_index=det_abs,
+        scaled_index=scaled, inclusion_holds=inclusion,
     )

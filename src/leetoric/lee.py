@@ -19,7 +19,6 @@ torus table from which every array engine takes its neighbours.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import index
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
@@ -35,20 +34,37 @@ Vec = tuple[int, ...]
 MAX_POINTS = 2**20
 
 
-@dataclass(frozen=True)
 class LeeCode:
-    """Group code in Z_q^n, enumerated once and immutable afterwards."""
+    """Group code in Z_q^n, enumerated once and immutable afterwards.
 
-    q: int
-    n: int
-    generators: tuple[Vec, ...]
-    codewords: tuple[Vec, ...]
+    Codes with equal fields are equal and hash alike.
+    """
 
-    def __post_init__(self) -> None:
-        if self.q < 2:
+    def __init__(
+        self, q: int, n: int, generators: tuple[Vec, ...], codewords: tuple[Vec, ...]
+    ) -> None:
+        if q < 2:
             raise ValueError("modulus must be at least 2")
-        if self.n < 1:
+        if n < 1:
             raise ValueError("dimension must be positive")
+        vars(self).update(q=q, n=n, generators=generators, codewords=codewords)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"LeeCode is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return self.q, self.n, self.generators, self.codewords
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"LeeCode(q={self.q}, n={self.n}, generators={self.generators})"
 
     @cached_property
     def _cover(self) -> Optional[dict[Vec, DecodeResult]]:
@@ -67,8 +83,7 @@ class LeeCode:
         return cover if len(cover) == q**self.n else None
 
 
-@dataclass(frozen=True)
-class LeeSphere:
+class LeeSphere(NamedTuple):
     """Radius-1 sphere offsets in the fixed order (0, +e1, -e1, +e2, ...)."""
 
     n: int

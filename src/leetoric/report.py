@@ -13,11 +13,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from decimal import Decimal
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ._version import __version__
 from .instances import CERTIFIED
@@ -27,8 +26,7 @@ from .toric import CodeParams, literature_params, new_code_params
 FORMATS = ("markdown", "csv", "json-lines")
 
 
-@dataclass(frozen=True)
-class RateGain:
+class RateGain(NamedTuple):
     """Exact rate and gain of a code record, plus their printed renderings."""
 
     rate: Fraction
@@ -37,8 +35,7 @@ class RateGain:
     gain_printed: str
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     table: int
     label: str
     n_code: int
@@ -50,8 +47,7 @@ class TableRow:
     gain_exact: Fraction
 
 
-@dataclass(frozen=True)
-class VerificationCertificate:
+class VerificationCertificate(NamedTuple):
     """Machine-readable outcome of one verification command.
 
     The result fields are a pure function of claim, inputs, and seed; only
@@ -245,4 +241,4 @@ def make_certificate(
 
 
 def certificate_json(cert: VerificationCertificate) -> str:
-    return json.dumps(asdict(cert), sort_keys=False)
+    return json.dumps(cert._asdict(), sort_keys=False)

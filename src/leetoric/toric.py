@@ -12,10 +12,9 @@ parity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
 from .instances import require_certified
 from .lee import sphere_shifts
@@ -27,8 +26,9 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class CodeParams:
+class CodeParams(
+    NamedTuple("CodeParams", [("n_code", int), ("k", int), ("d", Optional[int]), ("t", int)])
+):
     """Quantum code parameter record [[n_code, k, d]] with capability t.
 
     d may be None for records that claim a correction capability without
@@ -36,21 +36,22 @@ class CodeParams:
     when d is present, t must be the derived floor((d-1)/2).
     """
 
-    n_code: int
-    k: int
-    d: Optional[int]
-    t: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (self.n_code >= self.k >= 1):
+    def __new__(cls, n_code: int, k: int, d: Optional[int], t: int) -> "CodeParams":
+        if not (n_code >= k >= 1):
             raise ValueError("need n_code >= k >= 1")
-        if self.d is not None:
-            if self.d < 1:
+        if d is not None:
+            if d < 1:
                 raise ValueError("distance must be positive")
-            if self.t != (self.d - 1) // 2:
+            if t != (d - 1) // 2:
                 raise ValueError("t must equal floor((d-1)/2)")
-        elif self.t < 0:
+        elif t < 0:
             raise ValueError("capability must be nonnegative")
+        return super().__new__(cls, n_code, k, d, t)
+
+    # tuple's _make, and so _replace, would skip the checks in __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def qubit_cell_dim(n: int) -> int:

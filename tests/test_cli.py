@@ -251,14 +251,15 @@ def test_python_dash_m(module):
 # Runs in a fresh interpreter, because this test module has numpy loaded.
 # After importing the package and the CLI, and after each command given as
 # JSON in argv[1], it prints [exit code, heavy modules loaded, leetoric
-# submodules loaded].
+# submodules loaded].  `dataclasses` and `inspect` (which it imports, with
+# ast, dis and tokenize) cost every process about 25 ms; numpy loads inspect.
 BOUNDARY_PROBE = """
 import contextlib, io, json, sys
 import leetoric, leetoric.cli
 
 def state(code):
     loaded = set(sys.modules) | {m.split('.')[0] for m in sys.modules}
-    heavy = loaded & {'numpy', 'scipy', 'importlib.metadata'}
+    heavy = loaded & {'numpy', 'scipy', 'importlib.metadata', 'dataclasses', 'inspect'}
     return [code, sorted(heavy), sorted(m for m in loaded if m.startswith('leetoric.'))]
 
 out = [state(None)]
@@ -296,9 +297,10 @@ def run_boundary_probe(commands: list) -> list:
 
 
 def test_import_pulls_in_no_scipy_or_dist_metadata():
-    # numpy is loaded only by the commands that build arrays.
+    # numpy (and with it inspect) is loaded only by the commands that build
+    # arrays; no import or command loads dataclasses.
     after_import, *runs = run_boundary_probe([argv for argv, _ in NUMPY_FREE_COMMANDS])
     assert after_import == [None, [], SUBMODULES]
     assert runs == [[code, [], SUBMODULES] for _, code in NUMPY_FREE_COMMANDS]
     for argv in NUMPY_COMMANDS:
-        assert run_boundary_probe([argv])[1] == [0, ["numpy"], SUBMODULES], argv
+        assert run_boundary_probe([argv])[1] == [0, ["inspect", "numpy"], SUBMODULES], argv

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, replace
 from itertools import product
 
 import numpy as np
@@ -10,6 +9,7 @@ import pytest
 import leetoric
 import oracles
 from leetoric import (
+    InterleaverMap,
     LogicalIndex,
     PhysicalSlot,
     all_burst_translates,
@@ -112,10 +112,27 @@ def test_build_rejects_nonperfect_code():
         build_interleaver(broken)
 
 
+def _with_block_of(imap: InterleaverMap, block_of: np.ndarray) -> InterleaverMap:
+    return InterleaverMap(imap.q, imap.n, imap.alpha, imap.hypercube_rank, block_of)
+
+
 def test_doctored_map_is_not_equal_to_the_certified_one(imap3):
-    doctored = replace(imap3, block_of=np.zeros_like(imap3.block_of))
+    doctored = _with_block_of(imap3, np.zeros_like(imap3.block_of))
     assert doctored != imap3
     assert imap3 == imap3
+    # maps compare by identity, even when they hold the same arrays
+    twin = _with_block_of(imap3, imap3.block_of)
+    assert twin != imap3
+    assert len({imap3, twin, imap3}) == 2
+
+
+def test_interleaver_records_are_immutable_tuples():
+    li, ps = LogicalIndex(2, 1, 23), PhysicalSlot((1, 2, 3), 1)
+    summary = verify_burst_correction(7, 3)
+    for record, name in ((li, "block"), (ps, "slot"), (summary, "failures")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+    assert li == (2, 1, 23) and ps == ((1, 2, 3), 1)
 
 
 def test_map_arrays_are_read_only(imap3):
@@ -281,7 +298,7 @@ def test_sweep_3d_default_mode_is_exhaustive():
 def test_sweep_4d_sampled_summary_and_reproducibility():
     s1 = verify_burst_correction(9, 4, samples=7000, seed=5)
     s2 = verify_burst_correction(9, 4, samples=7000, seed=5)
-    assert asdict(s1) == asdict(s2)
+    assert s1._asdict() == s2._asdict()
     assert s1.mode == "sampled"
     assert s1.samples == 7000 and s1.seed == 5
     assert s1.rng_algorithm == "numpy-pcg64"
@@ -316,7 +333,7 @@ def _doctored(q: int, n: int, tiles: int, seed: int):
             for off in rng.sample(lee_sphere(n).offsets, 2)
         )
         block_of[second] = block_of[first]
-    return replace(imap, block_of=block_of)
+    return _with_block_of(imap, block_of)
 
 
 def _oracle_worst(imap, anchor, vecs: np.ndarray) -> np.ndarray:

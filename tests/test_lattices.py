@@ -99,6 +99,44 @@ def test_constructors_and_validation():
         IntMatrix.from_rows(())
 
 
+def test_entries_must_be_integers():
+    # operator.index refuses what int() would truncate or parse
+    for rows in (((1.9, 0), (0, "2")), ((1.5, 0), (0, 1)), ((2.0, 0), (0, 2))):
+        with pytest.raises(TypeError):
+            IntMatrix.from_rows(rows)
+        with pytest.raises(TypeError):
+            IntMatrix(rows)
+    two = IntMatrix.scalar(2, 2)
+    for v in ((2.0, 4), (2, "4")):
+        with pytest.raises(TypeError):
+            solve_left(two, v)
+        with pytest.raises(TypeError):
+            contains(two, v)
+    assert solve_left(two, (2, 4)) == (1, 2)
+
+
+def test_validation_has_no_bypass():
+    m = IntMatrix.identity(2)
+    with pytest.raises(ValueError):
+        m._replace(rows=((1, 2),))
+    with pytest.raises(ValueError):
+        IntMatrix._make([()])
+    with pytest.raises(TypeError):
+        IntMatrix._make([((1.5, 0), (0, 1))])
+    assert m._replace(rows=[[2, 0], [0, 2]]) == IntMatrix.scalar(2, 2)
+    assert IntMatrix._make([((1, 0), (0, 1))]) == m
+
+
+def test_records_are_immutable_tuples():
+    rep = verify_chain(M3, 7)
+    with pytest.raises(AttributeError):
+        rep.det_abs = 1
+    with pytest.raises(AttributeError):
+        M3.rows = ((1,),)
+    assert M3 == (M3.rows,)
+    assert rep == tuple(rep._asdict().values())
+
+
 def test_left_mul_reproduces_frozen_witness_products():
     assert M3.left_mul((5, -3, 7)) == (7, 7, 7)
     assert M3.left_mul((2, -4, 7)) == (7, 0, 0)

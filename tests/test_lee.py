@@ -265,6 +265,28 @@ def test_lee_code_equality_is_by_value():
     assert hash(fresh) == hash(certified_code(7, 3))
 
 
+def test_lee_code_is_immutable_and_a_value():
+    code = enumerate_codewords(code_generators(7, 3), 7, 3)
+    for name in ("q", "codewords", "_cover"):
+        with pytest.raises(AttributeError):
+            setattr(code, name, None)
+        with pytest.raises(AttributeError):
+            delattr(code, name)
+    assert code.q == 7 and len(code.codewords) == 49
+    assert code != (code.q, code.n, code.generators, code.codewords)
+    assert code != enumerate_codewords(code_generators(7, 3)[:1], 7, 3)
+    assert len({code, certified_code(7, 3), certified_code(9, 4)}) == 2
+    assert weakref.ref(code)() is code
+    assert repr(code) == "LeeCode(q=7, n=3, generators=((0, 1, 4), (1, 0, 2)))"
+
+
+def test_lee_sphere_is_an_immutable_tuple():
+    sphere = lee_sphere(2)
+    with pytest.raises(AttributeError):
+        sphere.n = 3
+    assert sphere == (2, ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)))
+
+
 def test_decoded_code_is_freed_with_its_cover():
     fresh = enumerate_codewords(code_generators(7, 3), 7, 3)
     assert decode_nearest((1, 1, 1), fresh).codeword == (2, 1, 1)

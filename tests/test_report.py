@@ -175,6 +175,20 @@ def test_certificate_fields_and_serialization():
     assert "generated_at" in loaded
 
 
+def test_report_records_are_immutable_tuples():
+    cert = make_certificate("claim", {"q": 9}, True)
+    row = table_rows()[0]
+    rg = rate_gain(new_code_params(7, 3))
+    for record, name in ((cert, "passed"), (row, "label"), (rg, "rate")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    assert rg == (rg.rate, rg.gain, rg.rate_printed, rg.gain_printed)
+    assert json.loads(certificate_json(cert)) == cert._asdict()
+    assert list(cert._asdict()) == [
+        "claim", "inputs", "passed", "counts", "version", "generated_at",
+    ]
+
+
 def test_certificate_result_fields_reproducible():
     a = make_certificate("claim", {"q": 9}, False, {"x": 1})
     b = make_certificate("claim", {"q": 9}, False, {"x": 1})

@@ -382,6 +382,18 @@ def test_code_params_validation():
     assert capability_only.d is None and capability_only.t == 5
 
 
+def test_code_params_validation_has_no_bypass():
+    p = CodeParams(10, 2, 3, 1)
+    with pytest.raises(ValueError):
+        p._replace(t=5)
+    with pytest.raises(ValueError):
+        CodeParams._make((1, 5, 0, 9))
+    with pytest.raises(AttributeError):
+        p.t = 5
+    assert p._replace(d=None, t=4) == (10, 2, None, 4)
+    assert CodeParams._make((10, 2, 3, 1)) == p
+
+
 def test_qubit_cell_dim_convention():
     assert qubit_cell_dim(2) == 1
     assert qubit_cell_dim(3) == 2
