@@ -10,6 +10,7 @@ mod q (the omitted rows are redundant mod q, which the tests confirm).
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import index
 
 from .lattices import IntMatrix
 from .lee import LeeCode, enumerate_codewords
@@ -30,6 +31,8 @@ _GENERATORS = {
 
 
 def require_certified(q: int, n: int) -> tuple[int, int]:
+    """(q, n) as ints when certified; a float or a string raises TypeError."""
+    q, n = index(q), index(n)
     if (q, n) not in CERTIFIED:
         raise ValueError("not certified")
     return q, n
@@ -45,8 +48,8 @@ def code_generators(q: int, n: int) -> tuple[tuple[int, ...], ...]:
     return _GENERATORS[require_certified(q, n)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a 7.0 key must not hit the 7 entry
 def certified_code(q: int, n: int) -> LeeCode:
     """The certified perfect Lee code on Z_q^n, enumerated once per process."""
-    require_certified(q, n)
+    q, n = require_certified(q, n)
     return enumerate_codewords(code_generators(q, n), q, n)

@@ -158,8 +158,10 @@ def _tile_classes(imap: InterleaverMap) -> np.ndarray:
     import numpy as np
 
     blocks = imap.block_of[sphere_shifts(imap.q, imap.n).T]
-    same = blocks[:, :, None] == blocks[:, None, :]
-    return same @ (1 << np.arange(blocks.shape[1]))
+    cls = np.zeros(blocks.shape, dtype=np.int64)
+    for j in range(blocks.shape[1]):
+        np.bitwise_or(cls, 1 << j, out=cls, where=blocks == blocks[:, j, None])
+    return cls
 
 
 def verify_burst_correction(
@@ -184,7 +186,7 @@ def verify_burst_correction(
     """
     import numpy as np
 
-    require_certified(q, n)
+    q, n = require_certified(q, n)
     if exhaustive is not None and exhaustive != (samples is None):
         raise ValueError("choose either exhaustive mode or a sample count")
     if samples is not None and samples < 1:
@@ -202,14 +204,17 @@ def verify_burst_correction(
     masks = np.arange(2**sphere)
     popcount = ((masks[:, None] >> np.arange(sphere)) & 1).sum(axis=1)
     # Anchors with equal class rows share every verdict: worst[m, u] is the
-    # error count of the fullest block when mask m hits a tile of class u.
-    rows, row_of, mult = np.unique(cls, axis=0, return_inverse=True, return_counts=True)
-    row_of = row_of.ravel()
+    # error count of the fullest block when mask m hits a tile of class u,
+    # the distinct rows sorted lexicographically and found by run starts.
+    order = np.lexsort(cls.T[::-1])
+    ranked = cls[order]
+    first = np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]
+    rows, row_of = ranked[first], (np.cumsum(first) - 1)[np.argsort(order)]
     worst = popcount[masks[:, None, None] & rows].max(axis=-1)
 
     if samples is None:
         weight = alpha**popcount
-        failures = int(((worst >= 2) * weight[:, None] * mult).sum())
+        failures = int(((worst >= 2) * weight[:, None] * np.bincount(row_of)).sum())
         max_block = int(worst.max())
         patterns = anchors * int(weight.sum())
         masks_checked = anchors * masks.size
@@ -222,14 +227,16 @@ def verify_burst_correction(
         max_block = int(extremal.max())
         per_anchor = math.ceil(samples / anchors)
         draws = anchors * per_anchor
-        bits = 1 << np.arange(sphere)
         rng = np.random.default_rng(seed)
         for lo in range(0, draws, _DRAW_CHUNK):
             hi = min(lo + _DRAW_CHUNK, draws)
-            # one call over consecutive draws yields the same stream as one
-            # call per anchor; draw d belongs to anchor d // per_anchor
-            vecs = rng.integers(0, alpha + 1, size=(hi - lo, sphere))
-            drawn = worst[(vecs > 0) @ bits, row_of[np.arange(lo, hi) // per_anchor]]
+            # one call over consecutive draws, int32 or int64, yields the same
+            # stream as one call per anchor; draw d is anchor d // per_anchor's
+            hit = rng.integers(0, alpha + 1, size=(hi - lo, sphere), dtype=np.int32) > 0
+            mask = np.zeros(hi - lo, dtype=np.int64)
+            for j in range(sphere):
+                mask |= np.left_shift(hit[:, j], j, dtype=np.int64)
+            drawn = worst[mask, row_of[np.arange(lo, hi) // per_anchor]]
             failures += int(np.count_nonzero(drawn >= 2))
             max_block = max(max_block, int(drawn.max()))
         patterns = anchors * (alpha + per_anchor)
@@ -251,6 +258,6 @@ def interleaved_params(q: int, n: int) -> CodeParams:
     The capability t is the burst-correction capability q; no minimum
     distance is claimed, so the distance field stays empty.
     """
-    require_certified(q, n)
+    q, n = require_certified(q, n)
     alpha = qubits_per_vertex(n)
     return CodeParams(n_code=alpha * q**n, k=alpha * q ** (n - 1), d=None, t=q)

@@ -244,7 +244,8 @@ class ChainReport(NamedTuple):
 
 
 def verify_chain(m: IntMatrix, q: int) -> ChainReport:
-    """Check the chain Z^n > M Z^n > q Z^n and report the lattice indices."""
+    """Check the chain Z^n > M Z^n > q Z^n for an integer q; report the indices."""
+    q = index(q)
     if q < 2:
         raise ValueError("scale must be at least 2")
     n = m.n

@@ -120,11 +120,12 @@ def enumerate_codewords(generators: Sequence[Sequence[int]], q: int, n: int) -> 
     The closure of a finite set under addition mod q is the subgroup it
     generates, so the result always contains 0 (first) and is closed under
     addition.  Enumeration order is stable: breadth-first from 0, generators
-    applied in the order given.  Entries must be integers (operator.index):
-    a float or a string raises TypeError rather than being truncated.
+    applied in the order given.  Entries, q and n must be integers
+    (operator.index): a float or a string raises TypeError, not truncation.
     """
     if not generators:
         raise ValueError("generators must be nonempty")
+    q, n = index(q), index(n)
     if q < 2:
         raise ValueError("modulus must be at least 2")
     _require_points(q, n)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
+from operator import index
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
 from .instances import require_certified
@@ -83,6 +84,7 @@ def stabilizer_counts(q: int, n: int) -> dict:
     the overlap gather visits: every Z support has 2(k + 1) qubit cells and
     every qubit cell has 2k facets, each the anchor of one X generator.
     """
+    q, n = index(q), index(n)
     if q < 2 or n < 2:
         raise ValueError("need q >= 2 and n >= 2")
     k = qubit_cell_dim(n)
@@ -125,43 +127,47 @@ def support_rows(q: int, n: int, kind: str) -> np.ndarray:
     return np.sort(np.concatenate(blocks), axis=1)
 
 
+def _z_incidences(q: int, n: int) -> Optional[Iterator[np.ndarray]]:
+    # Per Z axes-block, each Z row's X rows (one per qubit-cell facet) sorted in
+    # the row; None unless every qubit cell is in 2k X rows, as the table needs.
+    import numpy as np
+
+    xrows, zrows = support_rows(q, n, "X"), support_rows(q, n, "Z")
+    flat, per_face = xrows.ravel(), 2 * qubit_cell_dim(n)
+    if np.any(np.bincount(flat, minlength=stabilizer_counts(q, n)["qubits"]) != per_face):
+        return None
+    x_of_face = np.argsort(flat, kind="stable").reshape(-1, per_face) // xrows.shape[1]
+    blocks = zrows.reshape(-1, q**n, zrows.shape[1])
+    return (np.sort(x_of_face[block].reshape(q**n, -1)) for block in blocks)
+
+
 def overlap_multiplicities(
     q: int, n: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Nonzero entries of hx·hzᵀ as (z_row, x_row, multiplicity) arrays.
 
-    Each Z row gathers the X rows of its qubit cells through a face -> X-row
-    incidence, and a pair's multiplicity is the number of shared qubit
-    cells.  One Z axes-block (q^n rows) is gathered and yielded at a time.
+    A pair's multiplicity, its number of shared qubit cells, is its run length
+    in the Z row's sorted X-row incidences, one Z axes-block (q^n rows) at a
+    time.  Raises ValueError when a qubit cell is not in exactly 2k X supports.
     """
     import numpy as np
 
-    xrows = support_rows(q, n, "X")
-    zrows = support_rows(q, n, "Z")
-    n_faces = stabilizer_counts(q, n)["qubits"]
-    flat = xrows.ravel()
-    starts = np.zeros(n_faces + 1, dtype=np.int64)
-    np.cumsum(np.bincount(flat, minlength=n_faces), out=starts[1:])
-    members = np.argsort(flat, kind="stable") // xrows.shape[1]
-    n_x = len(xrows)
-    for z0 in range(0, len(zrows), q**n):
-        block = zrows[z0 : z0 + q**n]
-        faces = block.ravel()
-        lengths = starts[faces + 1] - starts[faces]
-        ends = np.cumsum(lengths)
-        gather = np.repeat(starts[faces] - ends + lengths, lengths)
-        gather += np.arange(ends[-1], dtype=np.int64)
-        z = np.repeat(np.arange(z0, z0 + len(block)), block.shape[1])
-        keys = np.repeat(z, lengths) * n_x + members[gather]
-        pairs, multiplicity = np.unique(keys, return_counts=True)
-        yield pairs // n_x, pairs % n_x, multiplicity
+    incidences = _z_incidences(q, n)
+    if incidences is None:
+        raise ValueError("some qubit cell is not in exactly 2k X supports")
+    for b, inc in enumerate(incidences):
+        starts = np.flatnonzero(np.diff(inc, prepend=-1))
+        z = b * q**n + starts // inc.shape[1]
+        yield z, inc.ravel()[starts], np.diff(starts, append=inc.size)
 
 
 def commutation_check(q: int, n: int) -> bool:
     """Whether every X-type and Z-type pair overlaps on an even qubit count.
 
-    Raises ValueError, before allocating anything, when the check would
-    visit more than MAX_INCIDENCES incidences.
+    A sorted incidence row has only even runs exactly when its entries pair
+    up; X supports that do not put every qubit cell in exactly 2k of them
+    fail.  Raises ValueError, before allocating anything, when the check
+    would visit more than MAX_INCIDENCES incidences.
     """
     # the work is at least q**n >= 2**n: refuse a long n before any power
     long_n = q >= 2 and n > MAX_INCIDENCES.bit_length()
@@ -169,12 +175,8 @@ def commutation_check(q: int, n: int) -> bool:
         raise ValueError(
             f"the {q}^{n} torus is over the limit of {MAX_INCIDENCES} incidences"
         )
-    import numpy as np
-
-    return all(
-        not np.any(multiplicity % 2)
-        for _, _, multiplicity in overlap_multiplicities(q, n)
-    )
+    incidences = _z_incidences(q, n)
+    return incidences is not None and all((i[:, 0::2] == i[:, 1::2]).all() for i in incidences)
 
 
 def literature_params(q: int, n: int) -> CodeParams:
@@ -184,6 +186,7 @@ def literature_params(q: int, n: int) -> CodeParams:
     alpha = C(n, c) = dim H_c(T^n) logical qubits, and the shortest logical
     operators are the c- and (n-c)-dimensional slices of the torus.
     """
+    q, n = index(q), index(n)
     if q < 2:
         raise ValueError("need q >= 2")
     if not 2 <= n <= 4:
@@ -199,6 +202,6 @@ def new_code_params(q: int, n: int) -> CodeParams:
     alpha qubits on each of the q = |det M| vertices of Z^n / L(M); the
     distance 3 is the Lee code's, which `mindist` certifies.
     """
-    require_certified(q, n)
+    q, n = require_certified(q, n)
     alpha = qubits_per_vertex(n)
     return CodeParams(n_code=alpha * q, k=alpha, d=3, t=1)

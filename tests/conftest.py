@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from leetoric import build_interleaver, certified_code
@@ -23,3 +25,25 @@ def imap3(code3):
 @pytest.fixture(scope="session")
 def imap4(code4):
     return build_interleaver(code4)
+
+
+@pytest.fixture
+def traced_peak_mb():
+    """Rise of the tracemalloc peak over one call of fn, in MB, after a
+    warm-up call that takes lazy imports and caches out of the figure."""
+
+    def measure(fn) -> float:
+        fn()
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fn()
+            return (tracemalloc.get_traced_memory()[1] - before) / 2**20
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+
+    return measure

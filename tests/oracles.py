@@ -1,6 +1,7 @@
 """Per-cell oracles for the array engines: they walk one cell, face index or
 burst pattern at a time, share no arithmetic with the engines, and nothing
-in the package imports them."""
+in the package imports them.  tile_classes keeps the sweep's former
+same-block matmul formula, over blocks looked up one tile cell at a time."""
 
 from __future__ import annotations
 
@@ -232,3 +233,20 @@ def enumerate_bursts(
         draws = rng.integers(0, alpha + 1, size=(samples, sphere))
         for vec in draws:
             yield _pattern(anchor, faces, vec)
+
+
+def tile_classes(imap: InterleaverMap) -> np.ndarray:
+    """cls[a, k]: bitmask of the cells of anchor a's tile in cell k's block.
+
+    Anchors in row-major order, tile cells in lee_sphere order; the
+    (anchors x cells x cells) same-block cube times the bit weights, as one
+    bool -> int64 matmul.
+    """
+    offsets = lee_sphere(imap.n).offsets
+    blocks = np.array([
+        [imap.block_of[position_rank([a + o for a, o in zip(anchor, off)], imap.q)]
+         for off in offsets]
+        for anchor in product(range(imap.q), repeat=imap.n)
+    ])
+    same = blocks[:, :, None] == blocks[:, None, :]
+    return same @ (1 << np.arange(len(offsets)))

@@ -383,6 +383,35 @@ def test_doctored_blocks_match_pattern_oracle_4d_sampled(monkeypatch):
     assert s.max_block_errors == int(worst.max())
 
 
+def test_tile_classes_match_the_matmul_oracle(imap3, imap4):
+    doctored = _doctored(9, 4, tiles=40, seed=43)
+    for imap in (imap3, imap4, doctored):
+        cls = interleave._tile_classes(imap)
+        assert cls.dtype == np.int64
+        assert np.array_equal(cls, oracles.tile_classes(imap))
+    assert len(np.unique(interleave._tile_classes(imap4), axis=0)) == 1
+    assert len(np.unique(interleave._tile_classes(doctored), axis=0)) > 1
+
+
+def test_tile_classes_9_4_memory_peak(imap4, traced_peak_mb):
+    # one same-block comparison per tile cell, ORed in place: the (6561, 9)
+    # blocks and classes and one bool column test (~1 MB), no upcast cube
+    assert traced_peak_mb(lambda: interleave._tile_classes(imap4)) <= 2
+
+
+@pytest.mark.parametrize("a", [2, 4, 7, 11])
+def test_int32_draws_take_the_int64_stream(a):
+    # The sampled sweep draws int32 choices; its seeded results stand for the
+    # int64 stream only while PCG64's bounded draws below 2^32 agree.
+    streams = []
+    for dtype in (np.int32, np.int64):
+        rng = np.random.default_rng(2024 + a)
+        streams.append(np.concatenate([
+            rng.integers(0, a, size=(rows, 9), dtype=dtype) for rows in (1000, 37, 2**12)
+        ]))
+    assert np.array_equal(*streams)
+
+
 def test_sweep_mode_errors():
     with pytest.raises(ValueError):
         verify_burst_correction(7, 3, exhaustive=True, samples=10)
@@ -410,5 +439,5 @@ def test_public_surface_leaves_the_oracles_to_the_tests():
     assert names == sorted(names) and len(names) == 42
     assert all(hasattr(leetoric, name) for name in names)
     moved = {k for k, v in vars(oracles).items() if getattr(v, "__module__", None) == "oracles"}
-    assert len(moved) == 20 and not moved & set(names)
+    assert len(moved) == 21 and not moved & set(names)
     assert not [k for k in moved for m in (leetoric.toric, interleave) if hasattr(m, k)]

@@ -115,6 +115,14 @@ def test_entries_must_be_integers():
     assert solve_left(two, (2, 4)) == (1, 2)
 
 
+def test_chain_scale_must_be_an_integer():
+    for q in (7.0, "7", 7.5):
+        with pytest.raises(TypeError):
+            verify_chain(M3, q)
+    report = verify_chain(M3, True + 6)
+    assert type(report.scale) is int and report.scaled_index == 49
+
+
 def test_validation_has_no_bypass():
     m = IntMatrix.identity(2)
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import random
 import weakref
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -20,6 +21,7 @@ from leetoric import (
     symmetric_residue,
     tiling_check,
 )
+from leetoric.instances import require_certified
 from leetoric.lee import sphere_shifts
 from oracles import position_rank, position_unrank
 
@@ -350,6 +352,32 @@ def test_enumeration_refuses_non_integer_generators():
         enumerate_codewords(((0, "1", 4), (1, 0, 2)), 7, 3)
     gens = [tuple(np.int64(x) for x in g) for g in code_generators(7, 3)]
     assert enumerate_codewords(gens, 7, 3) == certified_code(7, 3)
+
+
+@pytest.mark.parametrize("q,n", [(7.0, 3), (7, 3.0), ("7", 3), (np.float64(7), 3)])
+def test_modulus_and_dimension_must_be_integers(q, n):
+    with pytest.raises(TypeError):
+        enumerate_codewords(code_generators(7, 3), q, n)
+    with pytest.raises(TypeError):
+        require_certified(q, n)
+    with pytest.raises(TypeError):
+        certified_code(q, n)
+
+
+def test_float_modulus_leaves_the_certified_cache_clean(code3):
+    # A warm cache must not serve its (7, 3) entry to a 7.0 key...
+    with pytest.raises(TypeError):
+        certified_code(7.0, 3)
+    # ...and a cold one, configured alike, must not store a q = 7.0 code
+    # that a later certified_code(7, 3) is served.
+    fresh = lru_cache(**certified_code.cache_parameters())(certified_code.__wrapped__)
+    with pytest.raises(TypeError):
+        fresh(7.0, 3)
+    assert fresh.cache_info().currsize == 0
+    code = fresh(7, 3)
+    assert type(code.q) is int and type(code.n) is int and code == code3
+    assert require_certified(np.int64(9), np.int64(4)) == (9, 4)
+    assert type(fresh(np.int64(9), 4).q) is int
 
 
 def test_wrong_size_code_is_rejected_before_its_cover():

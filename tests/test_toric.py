@@ -278,6 +278,39 @@ def test_commutation_check_detects_doctored_support(monkeypatch, q, n):
     assert not commutation_check(q, n)
 
 
+@pytest.mark.parametrize("q,n", [(5, 2), (7, 3), (9, 4)])
+def test_commutation_check_detects_doctored_x_support(monkeypatch, q, n):
+    # one qubit of the first X support moves to a qubit it lacks, so one
+    # qubit cell lies in 2k + 1 X supports and another in 2k - 1
+    original = toric.support_rows
+
+    def doctored(q, n, kind):
+        rows = original(q, n, kind)
+        if kind == "X":
+            rows[0, 0] = next(f for f in range(q**n) if f not in rows[0])
+        return rows
+
+    monkeypatch.setattr(toric, "support_rows", doctored)
+    assert not commutation_check(q, n)
+    with pytest.raises(ValueError, match="2k X supports"):
+        next(overlap_multiplicities(q, n))
+
+
+def test_overlap_multiplicities_are_sorted_and_cover_every_z_row():
+    q, n = 7, 3
+    per_z = 2 * (qubit_cell_dim(n) + 1) * 2 * qubit_cell_dim(n)
+    z, x, m = (np.concatenate(parts) for parts in zip(*overlap_multiplicities(q, n)))
+    keys = z * stabilizer_counts(q, n)["x_generators"] + x
+    assert np.all(np.diff(keys) > 0)
+    assert np.array_equal(np.bincount(z, weights=m), np.full(len(support_rows(q, n, "Z")), per_z))
+
+
+def test_commutation_check_9_4_memory_peak(traced_peak_mb):
+    # the row-paired check holds the supports, the face -> X-row table and
+    # one Z block's incidences (~6 MB); a global gather would exceed this
+    assert traced_peak_mb(lambda: commutation_check(9, 4)) <= 8
+
+
 @pytest.mark.parametrize(
     "q,n,counts",
     [
@@ -315,6 +348,14 @@ def test_literature_params_frozen():
         literature_params(1, 3)
     with pytest.raises(ValueError):
         literature_params(7, 5)
+    for q, n in ((7.0, 3), (7, "3")):
+        with pytest.raises(TypeError):
+            literature_params(q, n)
+        with pytest.raises(TypeError):
+            stabilizer_counts(q, n)
+        with pytest.raises(TypeError):
+            new_code_params(q, n)
+    assert type(stabilizer_counts(np.int64(9), 4)["qubits"]) is int
 
 
 def test_new_code_params_frozen():
