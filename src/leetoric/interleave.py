@@ -12,16 +12,17 @@ cross-section at most once, which is exactly what the sweeps below certify.
 A burst at an anchor may err at most one face per hypercube of the tile
 {anchor + offsets}; constituent code blocks correct one error each, so a
 pattern is correctable exactly when no block sees two.  Every slot of a
-hypercube belongs to the same block, so a pattern's verdict depends only on
-its mask of hit tile cells: the (alpha+1)^(2n+1) patterns of a tile collapse
-to 2^(2n+1) masks, mask m standing for alpha^|m| patterns.  That makes the
-exhaustive sweep cheap on both certified instances, and it is the default.
+hypercube belongs to its block, so with s_b tile cells in block b a tile has
+prod_b (1 + alpha s_b) correctable patterns: one pass over the anchors counts
+them all, and that exhaustive sweep is the default.  Only the sampled sweep
+imports numpy, for its PCG64 draws.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from collections import Counter
+from functools import cached_property, reduce
 from itertools import product
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
@@ -29,9 +30,7 @@ from .instances import certified_code, require_certified
 from .lee import LeeCode, sphere_shifts
 from .toric import CodeParams, qubits_per_vertex
 
-# numpy is imported inside the functions that build arrays, not here: this
-# module is on the `import leetoric` path of every CLI command, and only
-# `interleave verify` and `verify stabilizers` use arrays.
+# numpy stays off the `import leetoric` path: only the sampled sweep imports it
 if TYPE_CHECKING:
     import numpy as np
 
@@ -64,30 +63,28 @@ class PhysicalSlot(NamedTuple):
 
 
 class InterleaverMap:
-    """The interleaver of a perfect code, held as rank arrays.
+    """The interleaver of a perfect code, held as rank tuples.
 
-    hypercube_rank[j, i] is the row-major rank of the hypercube
+    hypercube_rank[j][i] is the row-major rank of the hypercube
     codeword_i + offset_j, and block_of[r] is the constituent code block
     j * ceil(|C| / q) + i div q that owns every slot of hypercube r.  Both
-    arrays are read-only; the forward and inverse dictionaries are built
+    are tuples, so read-only; the forward and inverse dictionaries are built
     from them on first access.  Maps compare by identity.
     """
 
     def __init__(
-        self, q: int, n: int, alpha: int, hypercube_rank: np.ndarray, block_of: np.ndarray
+        self, q: int, n: int, alpha: int, hypercube_rank: tuple[Vec, ...], block_of: Vec
     ) -> None:
         self.q, self.n, self.alpha = q, n, alpha
         self.hypercube_rank, self.block_of = hypercube_rank, block_of
 
     @cached_property
     def forward(self) -> dict[LogicalIndex, PhysicalSlot]:
-        import numpy as np
-
-        coords = np.stack(np.unravel_index(self.hypercube_rank, (self.q,) * self.n), -1)
+        hypercube = all_burst_translates(self.q, self.n)  # indexed by rank
         return {
-            LogicalIndex(j, b, i): PhysicalSlot(hyper, b)
-            for j, section in enumerate(coords.tolist())
-            for i, hyper in enumerate(map(tuple, section))
+            LogicalIndex(j, b, i): PhysicalSlot(hypercube[r], b)
+            for j, section in enumerate(self.hypercube_rank)
+            for i, r in enumerate(section)
             for b in range(self.alpha)
         }
 
@@ -99,12 +96,12 @@ class InterleaverMap:
 class BurstSweepSummary(NamedTuple):
     """Reproducible record of one verification sweep.
 
-    method names how patterns were judged: "mask-quotient" evaluates every
-    anchor's 2^(2n+1) masks of hit tile cells, each standing for the
-    alpha^|mask| patterns hitting exactly those cells, and masks_checked
-    counts those (anchor, mask) pairs, anchors whose tiles split into blocks
-    alike sharing one evaluation; "sampled-masks" judges each drawn and
-    extremal pattern by its mask, and masks_checked is None.
+    method names how patterns were judged: "block-product" counts each
+    anchor's correctable patterns as prod_b (1 + alpha s_b), s_b being the
+    number of its tile cells in block b, and every other pattern of the
+    (alpha+1)^(2n+1) as a failure; "sampled-masks" judges each drawn and
+    extremal pattern by its mask of hit tile cells.  masks_checked is None
+    in both modes: neither enumerates masks per anchor.
     """
 
     q: int
@@ -129,22 +126,17 @@ def build_interleaver(code: LeeCode) -> InterleaverMap:
     among each hypercube's owned faces in axes-lexicographic order.  The
     code is perfect exactly when the spheres hit every hypercube once.
     """
-    import numpy as np
-
     q, n = code.q, code.n
-    words = np.array(code.codewords, dtype=np.int64).reshape(-1, n) % q
-    hypercube_rank = sphere_shifts(q, n)[:, np.ravel_multi_index(words.T, (q,) * n)]
-    if np.any(np.bincount(hypercube_rank.ravel(), minlength=q**n) != 1):
+    ranks = [reduce(lambda r, x: r * q + x % q, word, 0) for word in code.codewords]
+    hyper = tuple(tuple(map(row.__getitem__, ranks)) for row in sphere_shifts(q, n))
+    per = math.ceil(len(ranks) / q)  # blocks per cross-section
+    block = {r: j * per + i // q for j, row in enumerate(hyper) for i, r in enumerate(row)}
+    # |C|(2n+1) placements on q^n hypercubes, none of them twice, miss none
+    if len(block) != q**n or len(ranks) * len(hyper) != q**n:
         raise ValueError("interleaver requires a perfect code")
-    sections = np.arange(hypercube_rank.shape[0])[:, None]
-    block_of = np.empty(q**n, dtype=np.int64)
-    block_of[hypercube_rank] = (
-        sections * math.ceil(len(words) / q) + np.arange(len(words)) // q
-    )
-    hypercube_rank.flags.writeable = block_of.flags.writeable = False
     return InterleaverMap(
-        q=q, n=n, alpha=qubits_per_vertex(n), hypercube_rank=hypercube_rank,
-        block_of=block_of,
+        q=q, n=n, alpha=qubits_per_vertex(n), hypercube_rank=hyper,
+        block_of=tuple(map(block.__getitem__, range(q**n))),
     )
 
 
@@ -157,7 +149,7 @@ def _tile_classes(imap: InterleaverMap) -> np.ndarray:
     # cls[a, k] = bitmask of the cells of anchor a's tile in cell k's block
     import numpy as np
 
-    blocks = imap.block_of[sphere_shifts(imap.q, imap.n).T]
+    blocks = np.asarray(imap.block_of)[np.asarray(sphere_shifts(imap.q, imap.n)).T]
     cls = np.zeros(blocks.shape, dtype=np.int64)
     for j in range(blocks.shape[1]):
         np.bitwise_or(cls, 1 << j, out=cls, where=blocks == blocks[:, j, None])
@@ -176,16 +168,13 @@ def verify_burst_correction(
 
     The mode is sampled exactly when samples is given; an explicit
     exhaustive flag must agree.  Exhaustive mode accounts for all
-    (alpha+1)^(2n+1) per-tile patterns of every anchor through their
-    2^(2n+1) hit-cell masks.  Sampled mode draws that many seeded patterns
-    spread evenly over the anchors (at most MAX_SAMPLES), plus the
-    all-cells-errored extremal pattern of every slot for every anchor.  A
-    pattern with mask m sees max_k |m & cls[k]| errors in its fullest
-    block, cls[k] being the tile cells sharing cell k's block.  Failures
-    are reported, not raised.
+    (alpha+1)^(2n+1) per-tile patterns of every anchor by the block
+    product.  Sampled mode draws that many seeded patterns spread evenly
+    over the anchors (at most MAX_SAMPLES), plus the all-cells-errored
+    extremal pattern of every slot for every anchor.  A pattern with mask
+    m sees max_k |m & cls[k]| errors in its fullest block, cls[k] being the
+    tile cells sharing cell k's block.  Failures are reported, not raised.
     """
-    import numpy as np
-
     q, n = require_certified(q, n)
     if exhaustive is not None and exhaustive != (samples is None):
         raise ValueError("choose either exhaustive mode or a sample count")
@@ -198,9 +187,34 @@ def verify_burst_correction(
         )
 
     imap = build_interleaver(certified_code(q, n))
+    alpha, anchors = imap.alpha, q**n
+    if samples is None:
+        # tiles[a] = the blocks of anchor a's tile cells, in sphere order
+        tiles = zip(*(map(imap.block_of.__getitem__, row) for row in sphere_shifts(q, n)))
+        per_tile = (alpha + 1) ** (2 * n + 1)
+        failures = max_block = 0
+        for tile in tiles:
+            sizes = Counter(tile).values()
+            failures += per_tile - math.prod(1 + alpha * s for s in sizes)
+            max_block = max(max_block, *sizes)
+        patterns, mode, method = anchors * per_tile, "exhaustive", "block-product"
+    else:
+        failures, max_block, per_anchor = _sampled_sweep(imap, samples, seed)
+        patterns, mode, method = anchors * (alpha + per_anchor), "sampled", "sampled-masks"
+    return BurstSweepSummary(
+        q=q, n=n, mode=mode, samples=samples, seed=None if samples is None else seed,
+        rng_algorithm=None if samples is None else RNG_ALGORITHM, translates=anchors,
+        patterns_checked=patterns, failures=failures, max_block_errors=max_block,
+        method=method, masks_checked=None,
+    )
+
+
+def _sampled_sweep(imap: InterleaverMap, samples: int, seed: int) -> tuple[int, int, int]:
+    # (failures, max_block_errors, draws per anchor) of the sampled sweep
+    import numpy as np
+
     cls = _tile_classes(imap)
     anchors, sphere = cls.shape
-    alpha = imap.alpha
     masks = np.arange(2**sphere)
     popcount = ((masks[:, None] >> np.arange(sphere)) & 1).sum(axis=1)
     # Anchors with equal class rows share every verdict: worst[m, u] is the
@@ -211,44 +225,25 @@ def verify_burst_correction(
     first = np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]
     rows, row_of = ranked[first], (np.cumsum(first) - 1)[np.argsort(order)]
     worst = popcount[masks[:, None, None] & rows].max(axis=-1)
-
-    if samples is None:
-        weight = alpha**popcount
-        failures = int(((worst >= 2) * weight[:, None] * np.bincount(row_of)).sum())
-        max_block = int(worst.max())
-        patterns = anchors * int(weight.sum())
-        masks_checked = anchors * masks.size
-        mode, method = "exhaustive", "mask-quotient"
-        used_seed, used_rng = None, None
-    else:
-        # the alpha extremal patterns of an anchor all hit every tile cell
-        extremal = worst[-1, row_of]
-        failures = alpha * int(np.count_nonzero(extremal >= 2))
-        max_block = int(extremal.max())
-        per_anchor = math.ceil(samples / anchors)
-        draws = anchors * per_anchor
-        rng = np.random.default_rng(seed)
-        for lo in range(0, draws, _DRAW_CHUNK):
-            hi = min(lo + _DRAW_CHUNK, draws)
-            # one call over consecutive draws, int32 or int64, yields the same
-            # stream as one call per anchor; draw d is anchor d // per_anchor's
-            hit = rng.integers(0, alpha + 1, size=(hi - lo, sphere), dtype=np.int32) > 0
-            mask = np.zeros(hi - lo, dtype=np.int64)
-            for j in range(sphere):
-                mask |= np.left_shift(hit[:, j], j, dtype=np.int64)
-            drawn = worst[mask, row_of[np.arange(lo, hi) // per_anchor]]
-            failures += int(np.count_nonzero(drawn >= 2))
-            max_block = max(max_block, int(drawn.max()))
-        patterns = anchors * (alpha + per_anchor)
-        masks_checked = None
-        mode, method = "sampled", "sampled-masks"
-        used_seed, used_rng = seed, RNG_ALGORITHM
-
-    return BurstSweepSummary(
-        q=q, n=n, mode=mode, samples=samples, seed=used_seed, rng_algorithm=used_rng,
-        translates=anchors, patterns_checked=patterns, failures=failures,
-        max_block_errors=max_block, method=method, masks_checked=masks_checked,
-    )
+    # the alpha extremal patterns of an anchor all hit every tile cell
+    extremal = worst[-1, row_of]
+    failures = imap.alpha * int(np.count_nonzero(extremal >= 2))
+    max_block = int(extremal.max())
+    per_anchor = math.ceil(samples / anchors)
+    draws = anchors * per_anchor
+    rng = np.random.default_rng(seed)
+    for lo in range(0, draws, _DRAW_CHUNK):
+        hi = min(lo + _DRAW_CHUNK, draws)
+        # one call over consecutive draws, int32 or int64, yields the same
+        # stream as one call per anchor; draw d is anchor d // per_anchor's
+        hit = rng.integers(0, imap.alpha + 1, size=(hi - lo, sphere), dtype=np.int32) > 0
+        mask = np.zeros(hi - lo, dtype=np.int64)
+        for j in range(sphere):
+            mask |= np.left_shift(hit[:, j], j, dtype=np.int64)
+        drawn = worst[mask, row_of[np.arange(lo, hi) // per_anchor]]
+        failures += int(np.count_nonzero(drawn >= 2))
+        max_block = max(max_block, int(drawn.max()))
+    return failures, max_block, per_anchor
 
 
 def interleaved_params(q: int, n: int) -> CodeParams:

@@ -14,18 +14,15 @@ returns the cover's shared, immutable result; the offset index doubles as
 the point's cross-section label.  The cover lives on the code and goes with it.
 
 lee_sphere fixes the offset order once; sphere_shifts turns it into the
-torus table from which every array engine takes its neighbours.
+torus table, a cached tuple of rows from which every engine takes neighbours.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import chain
 from operator import index
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
-
-# numpy is imported inside sphere_shifts: `import leetoric` must not load it
-if TYPE_CHECKING:
-    import numpy as np
+from typing import NamedTuple, Optional, Sequence
 
 Vec = tuple[int, ...]
 
@@ -168,18 +165,23 @@ def lee_sphere(n: int) -> LeeSphere:
     return LeeSphere(n=n, offsets=((0,) * n, *axes))
 
 
-def sphere_shifts(q: int, n: int) -> np.ndarray:
+@lru_cache(maxsize=None, typed=True)  # typed: a 7.0 key must not hit the 7 entry
+def sphere_shifts(q: int, n: int) -> tuple[tuple[int, ...], ...]:
     """Torus neighbours: one row per lee_sphere(n) offset, in its order.
 
     Row k maps the row-major rank of each x in Z_q^n to the rank of
-    x + offsets[k]: row 0 is the identity, rows 2a+1, 2a+2 step +e_a, -e_a.
+    x + offsets[k]: row 0 is the identity, rows 2a+1, 2a+2 step +e_a, -e_a,
+    rotating each run of q^(n-a) ranks by q^(n-1-a).  Cached per (q, n).
     """
-    import numpy as np
-
+    q, n = index(q), index(n)
     _require_points(q, n)
-    grid = np.arange(q**n, dtype=np.int64).reshape((q,) * n)
-    offsets = lee_sphere(n).offsets
-    return np.stack([np.roll(grid, np.negative(o), range(n)).ravel() for o in offsets])
+    ranks, rows = tuple(range(q**n)), []
+    for a in range(n):
+        step, run = q ** (n - 1 - a), q ** (n - a)
+        for s in (step, run - step):  # +e_a, then -e_a
+            cut = (ranks[lo + s:lo + run] + ranks[lo:lo + s] for lo in range(0, q**n, run))
+            rows.append(tuple(chain.from_iterable(cut)))
+    return (ranks, *rows)
 
 
 def tiling_check(code: LeeCode) -> bool:

@@ -3,28 +3,23 @@
 Qubits live on the axis-aligned 2-cells of the periodic q^n cubical complex
 for n >= 3, and on edges in two dimensions.  A qubit cell's index is its
 axes block (sorted axes subsets, lexicographic) times q^n plus the row-major
-rank of its lower corner.  Stabilizer supports are rows of such indices,
+rank of its lower corner.  Stabilizer supports are columns of such indices,
 their neighbouring corners read off the torus table lee.sphere_shifts:
 X-type operators sit on the cells one dimension below the qubit cells,
 Z-type on the cells one dimension above, and commutation is just overlap
-parity.
+parity, which dd = 0 pairs up, in plain Python: numpy is never loaded here.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, product
 from math import comb
 from operator import index
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .instances import require_certified
 from .lee import sphere_shifts
-
-# numpy is imported inside the functions that build arrays, not here: this
-# module is on the `import leetoric` path of every CLI command, and only
-# `verify stabilizers` and `interleave verify` use arrays.
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class CodeParams(
@@ -98,85 +93,92 @@ def stabilizer_counts(q: int, n: int) -> dict:
     }
 
 
-def support_rows(q: int, n: int, kind: str) -> np.ndarray:
-    """All X (star) or Z (boundary) supports, one sorted row per anchor.
+def support_columns(q: int, n: int, kind: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """All X (star) or Z (boundary) supports, one tuple of columns per block.
 
-    Anchors are ordered as qubit cells are indexed: axes lexicographic,
-    then positions row-major.  Row i holds the qubit cells containing
-    (X) or bounding (Z) the i-th anchor.
+    Blocks are the anchors' axes subsets in lexicographic order; a column
+    holds one qubit cell per anchor position, row-major.  Per axis a,
+    ascending, a block has two columns: the cell containing (X) or bounding
+    (Z) the anchor at its corner, then the one at corner - e_a (X) or + e_a
+    (Z).  Row i of a block, across its columns, is the i-th anchor's support.
     """
-    import numpy as np
-
     k = qubit_cell_dim(n)
     if kind not in ("X", "Z"):
         raise ValueError("kind must be 'X' or 'Z'")
-    face_block = {axes: i * q**n for i, axes in enumerate(axes_tuples(n, k))}
-    # rows 0, 2a+1 and 2a+2: each vertex, its +e_a and its -e_a neighbour
-    shifts = sphere_shifts(q, n)
+    cells, faces, star = q**n, axes_tuples(n, k), kind == "X"
+    ids = list(range(len(faces) * cells))  # one int object per qubit cell
+    face_block = {axes: ids[i * cells:(i + 1) * cells] for i, axes in enumerate(faces)}
+    shifts = sphere_shifts(q, n)  # rows 2a+1 and 2a+2: the +e_a and -e_a neighbours
     blocks = []
-    for axes in axes_tuples(n, k - 1 if kind == "X" else k + 1):
+    for axes in axes_tuples(n, k - 1 if star else k + 1):
         cols = []
-        for a in range(n):
-            if kind == "X" and a not in axes:
-                base = face_block[tuple(sorted(axes + (a,)))]
-                cols += [base + shifts[0], base + shifts[2 * a + 2]]
-            elif kind == "Z" and a in axes:
-                base = face_block[tuple(x for x in axes if x != a)]
-                cols += [base + shifts[0], base + shifts[2 * a + 1]]
-        blocks.append(np.stack(cols, axis=1))
-    return np.sort(np.concatenate(blocks), axis=1)
+        for a in (a for a in range(n) if (a in axes) != star):
+            block = face_block[tuple(sorted(set(axes) ^ {a}))]
+            cols += [tuple(block), tuple(map(block.__getitem__, shifts[2 * a + 1 + star]))]
+        blocks.append(tuple(cols))
+    return tuple(blocks)
 
 
-def _z_incidences(q: int, n: int) -> Optional[Iterator[np.ndarray]]:
-    # Per Z axes-block, each Z row's X rows (one per qubit-cell facet) sorted in
-    # the row; None unless every qubit cell is in 2k X rows, as the table needs.
-    import numpy as np
-
-    xrows, zrows = support_rows(q, n, "X"), support_rows(q, n, "Z")
-    flat, per_face = xrows.ravel(), 2 * qubit_cell_dim(n)
-    if np.any(np.bincount(flat, minlength=stabilizer_counts(q, n)["qubits"]) != per_face):
-        return None
-    x_of_face = np.argsort(flat, kind="stable").reshape(-1, per_face) // xrows.shape[1]
-    blocks = zrows.reshape(-1, q**n, zrows.shape[1])
-    return (np.sort(x_of_face[block].reshape(q**n, -1)) for block in blocks)
-
-
-def overlap_multiplicities(
-    q: int, n: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Nonzero entries of hx·hzᵀ as (z_row, x_row, multiplicity) arrays.
-
-    A pair's multiplicity, its number of shared qubit cells, is its run length
-    in the Z row's sorted X-row incidences, one Z axes-block (q^n rows) at a
-    time.  Raises ValueError when a qubit cell is not in exactly 2k X supports.
-    """
-    import numpy as np
-
-    incidences = _z_incidences(q, n)
-    if incidences is None:
-        raise ValueError("some qubit cell is not in exactly 2k X supports")
-    for b, inc in enumerate(incidences):
-        starts = np.flatnonzero(np.diff(inc, prepend=-1))
-        z = b * q**n + starts // inc.shape[1]
-        yield z, inc.ravel()[starts], np.diff(starts, append=inc.size)
+def _facet_rows(q: int, n: int, xblocks: tuple) -> Optional[list[list[int]]]:
+    # facets[2j + s][f]: the X row through cell f's facet without its j-th axis,
+    # at f's corner (s = 0) or across it (s = 1), each X column inverted by the
+    # table step undoing it (checked; other layouts go cell by cell), or None.
+    k = qubit_cell_dim(n)
+    cells, faces = q**n, axes_tuples(n, k)
+    ids = list(range(len(faces) * cells))  # X rows never outnumber qubit cells
+    shifts = sphere_shifts(q, n)
+    facets = [[-1] * (len(faces) * cells) for _ in range(2 * k)]
+    inverted = True
+    for i, (axes, cols) in enumerate(zip(axes_tuples(n, k - 1), xblocks)):
+        free, x_ids = [a for a in range(n) if a not in axes], ids[i * cells:(i + 1) * cells]
+        for c, col in enumerate(cols):
+            a, across = free[c // 2], c % 2
+            face = tuple(sorted(axes + (a,)))
+            lo, back = faces.index(face) * cells, shifts[2 * a + 1 if across else 0]
+            inverted = inverted and [*map(list(col).__getitem__, back)] == ids[lo:lo + cells]
+            facets[2 * face.index(a) + across][lo:lo + cells] = map(x_ids.__getitem__, back)
+    if inverted:
+        return facets
+    x_of: list[list[int]] = [[] for _ in facets[0]]
+    for i, cols in enumerate(xblocks):
+        for col in cols:
+            for p, f in enumerate(col):
+                x_of[f].append(i * cells + p)
+    return [list(s) for s in zip(*x_of)] if {len(xs) for xs in x_of} == {2 * k} else None
 
 
 def commutation_check(q: int, n: int) -> bool:
     """Whether every X-type and Z-type pair overlaps on an even qubit count.
 
-    A sorted incidence row has only even runs exactly when its entries pair
-    up; X supports that do not put every qubit cell in exactly 2k of them
-    fail.  Raises ValueError, before allocating anything, when the check
-    would visit more than MAX_INCIDENCES incidences.
+    dd = 0 pairs a Z row's 2(k+1)·2k incidences: the X row reached through
+    its cell without axis a at side sa, then that cell's facet without b at
+    side sb, is the one reached through b, then a.  Pairs are compared as
+    vectors over a Z block's anchors, and an anchor where one differs has
+    its incidence multiset counted, so doctored supports of support_columns'
+    shape are judged exactly.  X supports that do not put every qubit cell in
+    exactly 2k of them fail; past MAX_INCIDENCES, ValueError comes first.
     """
     # the work is at least q**n >= 2**n: refuse a long n before any power
     long_n = q >= 2 and n > MAX_INCIDENCES.bit_length()
     if long_n or stabilizer_counts(q, n)["incidences_checked"] > MAX_INCIDENCES:
-        raise ValueError(
-            f"the {q}^{n} torus is over the limit of {MAX_INCIDENCES} incidences"
-        )
-    incidences = _z_incidences(q, n)
-    return incidences is not None and all((i[:, 0::2] == i[:, 1::2]).all() for i in incidences)
+        raise ValueError(f"the {q}^{n} torus is over the limit of {MAX_INCIDENCES} incidences")
+    facets = _facet_rows(q, n, support_columns(q, n, "X"))
+    if facets is None:
+        return False
+    for cols in support_columns(q, n, "Z"):
+        odd = set()
+        # column 2a + sa is the cell without the anchor's a-th axis; for
+        # a < b, the anchor's b-th axis is that cell's (b-1)-th
+        for a, b in combinations(range(len(cols) // 2), 2):
+            for sa, sb in product((0, 1), repeat=2):
+                via_a = list(map(facets[2 * b - 2 + sb].__getitem__, cols[2 * a + sa]))
+                via_b = list(map(facets[2 * a + sa].__getitem__, cols[2 * b + sb]))
+                if via_a != via_b:
+                    odd.update(p for p, (x, y) in enumerate(zip(via_a, via_b)) if x != y)
+        tallies = (Counter(s[col[p]] for col in cols for s in facets) for p in odd)
+        if any(m % 2 for tally in tallies for m in tally.values()):
+            return False
+    return True
 
 
 def literature_params(q: int, n: int) -> CodeParams:

@@ -1,7 +1,11 @@
-"""Per-cell oracles for the array engines: they walk one cell, face index or
+"""Per-cell oracles for the torus engines: they walk one cell, face index or
 burst pattern at a time, share no arithmetic with the engines, and nothing
 in the package imports them.  tile_classes keeps the sweep's former
-same-block matmul formula, over blocks looked up one tile cell at a time."""
+same-block matmul formula, over blocks looked up one tile cell at a time.
+Two numpy oracles keep the package's former array methods: the sorted-run
+overlap count of the commutation check (overlap_multiplicities) and the
+hit-cell mask quotient of the exhaustive burst sweep (mask_quotient_sweep).
+support_rows reads toric.support_columns one support per anchor."""
 
 from __future__ import annotations
 
@@ -11,9 +15,10 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from leetoric import toric
 from leetoric.interleave import InterleaverMap, LogicalIndex, PhysicalSlot, Vec
 from leetoric.lee import lee_sphere
-from leetoric.toric import axes_tuples, qubit_cell_dim
+from leetoric.toric import axes_tuples, qubit_cell_dim, stabilizer_counts
 
 
 @dataclass(frozen=True)
@@ -250,3 +255,53 @@ def tile_classes(imap: InterleaverMap) -> np.ndarray:
     ])
     same = blocks[:, :, None] == blocks[:, None, :]
     return same @ (1 << np.arange(len(offsets)))
+
+
+def support_rows(q: int, n: int, kind: str) -> tuple[tuple[int, ...], ...]:
+    """toric.support_columns read as one support tuple per anchor, in order."""
+    return tuple(row for cols in toric.support_columns(q, n, kind) for row in zip(*cols))
+
+
+def mask_quotient_sweep(imap: InterleaverMap) -> tuple[int, int]:
+    """(failures, max_block_errors) of the exhaustive sweep, mask by mask.
+
+    Every anchor's 2^(2n+1) masks of hit tile cells are judged, mask m
+    standing for the alpha^|m| patterns hitting exactly those cells: the
+    fullest block of a tile with classes cls sees max_k |m & cls[k]|
+    errors.  Anchors with equal tile_classes rows share one evaluation.
+    """
+    cls = tile_classes(imap)
+    sphere = cls.shape[1]
+    masks = np.arange(2**sphere)
+    popcount = ((masks[:, None] >> np.arange(sphere)) & 1).sum(axis=1)
+    weight = imap.alpha**popcount
+    rows, anchors = np.unique(cls, axis=0, return_counts=True)
+    failures = max_block = 0
+    for lo in range(0, len(rows), 64):  # (masks, 64 classes, cells) at a time
+        worst = popcount[masks[:, None, None] & rows[lo:lo + 64]].max(axis=-1)
+        failures += int(((worst >= 2) * weight[:, None] * anchors[lo:lo + 64]).sum())
+        max_block = max(max_block, int(worst.max()))
+    return failures, max_block
+
+
+def overlap_multiplicities(
+    q: int, n: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Nonzero entries of hx·hzᵀ as (z_row, x_row, multiplicity) arrays.
+
+    A pair's multiplicity, its number of shared qubit cells, is its run length
+    in the Z row's sorted X-row incidences, one Z axes-block (q^n rows) at a
+    time.  Reads toric.support_columns when first advanced, and raises
+    ValueError when a qubit cell is not in exactly 2k X supports.
+    """
+    xrows = np.asarray(support_rows(q, n, "X"))
+    zrows = np.asarray(support_rows(q, n, "Z"))
+    flat, per_face = xrows.ravel(), 2 * qubit_cell_dim(n)
+    if np.any(np.bincount(flat, minlength=stabilizer_counts(q, n)["qubits"]) != per_face):
+        raise ValueError("some qubit cell is not in exactly 2k X supports")
+    x_of_face = np.argsort(flat, kind="stable").reshape(-1, per_face) // xrows.shape[1]
+    for b, block in enumerate(zrows.reshape(-1, q**n, zrows.shape[1])):
+        inc = np.sort(x_of_face[block].reshape(q**n, -1))
+        starts = np.flatnonzero(np.diff(inc, prepend=-1))
+        z = b * q**n + starts // inc.shape[1]
+        yield z, inc.ravel()[starts], np.diff(starts, append=inc.size)

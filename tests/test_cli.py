@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -122,7 +123,7 @@ def test_verify_stabilizers_refuses_oversized_torus(capsys, monkeypatch, n):
     def no_allocation(*args):
         raise AssertionError("support rows built past the work limit")
 
-    monkeypatch.setattr(toric, "support_rows", no_allocation)
+    monkeypatch.setattr(toric, "support_columns", no_allocation)
     t0 = time.monotonic()
     assert run_cli(["verify", "stabilizers", "--q", "50", "--n", n]) == 2
     assert time.monotonic() - t0 < 1
@@ -138,8 +139,8 @@ def test_interleave_verify_exhaustive(capsys):
     assert code == 0
     assert cert["counts"]["patterns_checked"] == 5_619_712
     assert cert["counts"]["failures"] == 0
-    assert cert["counts"]["method"] == "mask-quotient"
-    assert cert["counts"]["masks_checked"] == 343 * 2**7 == 43_904
+    assert cert["counts"]["method"] == "block-product"
+    assert cert["counts"]["masks_checked"] is None
 
 
 def test_interleave_verify_exhaustive_4d(capsys):
@@ -150,8 +151,8 @@ def test_interleave_verify_exhaustive_4d(capsys):
         assert cert["counts"]["patterns_checked"] == 6561 * 7**9 == 264_760_015_527
         assert cert["counts"]["failures"] == 0
         assert cert["counts"]["max_block_errors"] == 1
-        assert cert["counts"]["method"] == "mask-quotient"
-        assert cert["counts"]["masks_checked"] == 6561 * 2**9 == 3_359_232
+        assert cert["counts"]["method"] == "block-product"
+        assert cert["counts"]["masks_checked"] is None
 
 
 def test_interleave_verify_sampled(capsys):
@@ -281,12 +282,16 @@ NUMPY_FREE_COMMANDS = [
     (["verify", "tiling", "--q", "7", "--n", "3", "--generators", "1,1,0;0,1,1"], 1),
     (["mindist", "--q", "9", "--n", "4"], 0),
     (["decode", "--q", "9", "--n", "4", "--point", "1,2,3,4"], 0),
+    (["verify", "stabilizers", "--q", "5", "--n", "2"], 0),
+    (["verify", "stabilizers", "--q", "7", "--n", "3"], 0),
+    (["interleave", "verify", "--q", "7", "--n", "3", "--exhaustive"], 0),
+    (["interleave", "verify", "--q", "9", "--n", "4"], 0),
     *((["tables", "--format", fmt], 0) for fmt in FORMATS),
 ]
 
+# only the sampled sweep draws, with numpy's PCG64
 NUMPY_COMMANDS = [
-    ["verify", "stabilizers", "--q", "5", "--n", "2"],
-    ["interleave", "verify", "--q", "7", "--n", "3", "--exhaustive"],
+    ["interleave", "verify", "--q", "7", "--n", "3", "--samples", "1000", "--seed", "3"],
 ]
 
 
@@ -297,10 +302,42 @@ def run_boundary_probe(commands: list) -> list:
 
 
 def test_import_pulls_in_no_scipy_or_dist_metadata():
-    # numpy (and with it inspect) is loaded only by the commands that build
-    # arrays; no import or command loads dataclasses.
+    # numpy (and with it inspect) is loaded only by the sampled sweep; no
+    # import or command loads dataclasses.
     after_import, *runs = run_boundary_probe([argv for argv, _ in NUMPY_FREE_COMMANDS])
     assert after_import == [None, [], SUBMODULES]
     assert runs == [[code, [], SUBMODULES] for _, code in NUMPY_FREE_COMMANDS]
     for argv in NUMPY_COMMANDS:
         assert run_boundary_probe([argv])[1] == [0, ["inspect", "numpy"], SUBMODULES], argv
+
+
+# Runs each command given as JSON in argv[1] in one interpreter where
+# `import numpy` raises ImportError, and prints [[exit code, stdout], ...].
+NO_NUMPY_PROBE = """
+import contextlib, io, json, sys
+sys.modules['numpy'] = None
+import leetoric.cli
+
+out = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = leetoric.cli.run_cli(argv)
+    out.append([code, buf.getvalue()])
+print(json.dumps(out))
+"""
+
+
+def _without_timestamp(out: str) -> str:
+    return re.sub(r'"generated_at": "[^"]*"', '"generated_at": ""', out)
+
+
+def test_numpy_free_commands_run_without_numpy(capsys):
+    proc = run_python("-c", NO_NUMPY_PROBE, json.dumps([argv for argv, _ in NUMPY_FREE_COMMANDS]))
+    assert proc.returncode == 0, proc.stderr
+    blocked = json.loads(proc.stdout)
+    assert len(blocked) == len(NUMPY_FREE_COMMANDS)
+    for (argv, want), (code, out) in zip(NUMPY_FREE_COMMANDS, blocked):
+        assert run_cli(argv) == code == want, argv
+        normal = capsys.readouterr().out
+        assert out and _without_timestamp(out) == _without_timestamp(normal), argv

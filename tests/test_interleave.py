@@ -81,7 +81,7 @@ def _routed_blocks(imap) -> list[int]:
 def test_block_of_matches_routed_blocks(imap3, imap4):
     for imap in (imap3, imap4):
         routed = _routed_blocks(imap)
-        block_of = imap.block_of.tolist()
+        block_of = list(imap.block_of)
         # equal partitions: the two labelings correspond one to one
         pairs = set(zip(routed, block_of))
         assert len(pairs) == len(set(routed)) == len(set(block_of))
@@ -112,12 +112,12 @@ def test_build_rejects_nonperfect_code():
         build_interleaver(broken)
 
 
-def _with_block_of(imap: InterleaverMap, block_of: np.ndarray) -> InterleaverMap:
-    return InterleaverMap(imap.q, imap.n, imap.alpha, imap.hypercube_rank, block_of)
+def _with_block_of(imap: InterleaverMap, block_of) -> InterleaverMap:
+    return InterleaverMap(imap.q, imap.n, imap.alpha, imap.hypercube_rank, tuple(block_of))
 
 
 def test_doctored_map_is_not_equal_to_the_certified_one(imap3):
-    doctored = _with_block_of(imap3, np.zeros_like(imap3.block_of))
+    doctored = _with_block_of(imap3, [0] * len(imap3.block_of))
     assert doctored != imap3
     assert imap3 == imap3
     # maps compare by identity, even when they hold the same arrays
@@ -136,9 +136,10 @@ def test_interleaver_records_are_immutable_tuples():
 
 
 def test_map_arrays_are_read_only(imap3):
-    with pytest.raises(ValueError):
-        imap3.hypercube_rank[0, 0] = 5
-    with pytest.raises(ValueError):
+    assert type(imap3.hypercube_rank) is tuple and type(imap3.hypercube_rank[0]) is tuple
+    with pytest.raises(TypeError):
+        imap3.hypercube_rank[0][0] = 5
+    with pytest.raises(TypeError):
         imap3.block_of[0] = 5
 
 
@@ -311,10 +312,10 @@ def test_sweep_4d_sampled_summary_and_reproducibility():
 
 def test_sweep_4d_exhaustive_summary():
     s = verify_burst_correction(9, 4, exhaustive=True)
-    assert s.mode == "exhaustive" and s.method == "mask-quotient"
+    assert s.mode == "exhaustive" and s.method == "block-product"
     assert s.translates == 6561
     assert s.patterns_checked == 6561 * 7**9 == 264_760_015_527
-    assert s.masks_checked == 6561 * 2**9
+    assert s.masks_checked is None
     assert s.failures == 0
     assert s.max_block_errors == 1
 
@@ -323,7 +324,7 @@ def _doctored(q: int, n: int, tiles: int, seed: int):
     # The certified interleaver with two cells of each of some tiles merged
     # into one block, so bursts hitting both cells defeat that block.
     imap = build_interleaver(certified_code(q, n))
-    block_of = imap.block_of.copy()
+    block_of = list(imap.block_of)
     rng = random.Random(seed)
     anchors = all_burst_translates(q, n)
     for _ in range(tiles):
@@ -339,7 +340,7 @@ def _doctored(q: int, n: int, tiles: int, seed: int):
 def _oracle_worst(imap, anchor, vecs: np.ndarray) -> np.ndarray:
     # Errors in the fullest block of each pattern (row of choices, 0 = no
     # error on that tile cell), by tallying the blocks of the errored cells.
-    q, blocks = imap.q, int(imap.block_of.max()) + 1
+    q, blocks = imap.q, max(imap.block_of) + 1
     tile = np.array([
         imap.block_of[position_rank([a + o for a, o in zip(anchor, off)], q)]
         for off in lee_sphere(imap.n).offsets
@@ -399,6 +400,27 @@ def test_tile_classes_9_4_memory_peak(imap4, traced_peak_mb):
     assert traced_peak_mb(lambda: interleave._tile_classes(imap4)) <= 2
 
 
+def _overwritten(imap: InterleaverMap, seed: int) -> InterleaverMap:
+    # a tenth of block_of overwritten with blocks drawn from the map's own
+    rng = random.Random(seed)
+    block_of = list(imap.block_of)
+    for r in rng.sample(range(len(block_of)), len(block_of) // 10):
+        block_of[r] = rng.choice(imap.block_of)
+    return _with_block_of(imap, block_of)
+
+
+@pytest.mark.parametrize("q,n", [(7, 3), (9, 4)])
+def test_block_product_matches_the_mask_quotient_oracle(monkeypatch, q, n):
+    certified = build_interleaver(certified_code(q, n))
+    maps = [certified] + [_overwritten(certified, seed) for seed in range(6)]
+    for imap in maps:
+        monkeypatch.setattr(interleave, "build_interleaver", lambda code: imap)
+        s = verify_burst_correction(q, n)
+        assert (s.failures, s.max_block_errors) == oracles.mask_quotient_sweep(imap)
+        assert s.method == "block-product" and s.masks_checked is None
+        assert (s.failures > 0) == (imap is not certified)
+
+
 @pytest.mark.parametrize("a", [2, 4, 7, 11])
 def test_int32_draws_take_the_int64_stream(a):
     # The sampled sweep draws int32 choices; its seeded results stand for the
@@ -439,5 +461,5 @@ def test_public_surface_leaves_the_oracles_to_the_tests():
     assert names == sorted(names) and len(names) == 42
     assert all(hasattr(leetoric, name) for name in names)
     moved = {k for k, v in vars(oracles).items() if getattr(v, "__module__", None) == "oracles"}
-    assert len(moved) == 21 and not moved & set(names)
+    assert len(moved) == 24 and not moved & set(names)
     assert not [k for k in moved for m in (leetoric.toric, interleave) if hasattr(m, k)]

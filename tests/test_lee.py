@@ -184,7 +184,8 @@ def test_lee_sphere_frozen_orders():
 def test_sphere_shifts_match_per_point_oracle(q, n):
     table = sphere_shifts(q, n)
     offsets = lee_sphere(n).offsets
-    assert table.shape == (2 * n + 1, q**n)
+    assert type(table) is tuple and all(type(row) is tuple for row in table)
+    assert len(table) == 2 * n + 1 and {len(row) for row in table} == {q**n}
     expected = [
         [
             position_rank([x + o for x, o in zip(position_unrank(r, q, n), off)], q)
@@ -192,12 +193,22 @@ def test_sphere_shifts_match_per_point_oracle(q, n):
         ]
         for off in offsets
     ]
-    assert table.tolist() == expected
-    assert np.array_equal(table[0], np.arange(q**n))
-    assert all(np.array_equal(np.sort(row), np.arange(q**n)) for row in table)
+    assert [list(row) for row in table] == expected
+    assert table[0] == tuple(range(q**n))
+    assert all(sorted(row) == list(range(q**n)) for row in table)
     if q == 2:
         # +e_a and -e_a are the same step on a torus of side 2
-        assert np.array_equal(table[1::2], table[2::2])
+        assert table[1::2] == table[2::2]
+
+
+def test_sphere_shifts_is_one_cached_table_per_torus():
+    assert sphere_shifts(9, 4) is sphere_shifts(9, 4)
+    assert sphere_shifts(np.int64(7), 3) == sphere_shifts(7, 3)
+    for q, n in ((7.0, 3), (7, 3.0), ("7", 3)):
+        with pytest.raises(TypeError):
+            sphere_shifts(q, n)
+    with pytest.raises(ValueError, match="over the limit"):
+        sphere_shifts(2, 21)
 
 
 def test_tiling_certified_codes(code3, code4):

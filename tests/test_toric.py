@@ -22,10 +22,9 @@ from leetoric import toric
 from leetoric.toric import (
     MAX_INCIDENCES,
     axes_tuples,
-    overlap_multiplicities,
     qubit_cell_dim,
     stabilizer_counts,
-    support_rows,
+    support_columns,
 )
 from oracles import (
     Cell,
@@ -34,9 +33,11 @@ from oracles import (
     face_from_index,
     face_index,
     face_owner,
+    overlap_multiplicities,
     position_rank,
     position_unrank,
     star_support,
+    support_rows,
 )
 
 
@@ -218,9 +219,26 @@ def per_cell_supports(q: int, n: int, kind: str) -> list:
 @pytest.mark.parametrize("q,n", [(5, 2), (2, 3), (7, 3), (3, 4)])
 @pytest.mark.parametrize("kind", ["X", "Z"])
 def test_support_rows_match_per_cell_builders(q, n, kind):
+    blocks = support_columns(q, n, kind)
+    assert all(type(col) is tuple and len(col) == q**n for cols in blocks for col in cols)
     rows = support_rows(q, n, kind)
-    assert rows.dtype == np.int64
-    assert rows.tolist() == per_cell_supports(q, n, kind)
+    assert [sorted(row) for row in rows] == per_cell_supports(q, n, kind)
+    # incidence order: per axis a, the cell at the anchor's corner, then the
+    # one across a (corner - e_a for X, + e_a for Z)
+    k = qubit_cell_dim(n)
+    anchors = [
+        Cell(pos, axes)
+        for axes in axes_tuples(n, k - 1 if kind == "X" else k + 1)
+        for pos in product(range(q), repeat=n)
+    ]
+    step = -1 if kind == "X" else 1
+    for anchor, row in zip(anchors, rows):
+        axes = [a for a in range(n) if (a in anchor.axes) == (kind == "Z")]
+        assert len(row) == 2 * len(axes)
+        for j, a in enumerate(axes):
+            corner, across = (face_from_index(q, n, f).position for f in row[2 * j:2 * j + 2])
+            assert corner == anchor.position
+            assert across == tuple((x + step * (i == a)) % q for i, x in enumerate(corner))
 
 
 def test_support_rows_match_per_cell_builders_sampled_9_4():
@@ -229,17 +247,17 @@ def test_support_rows_match_per_cell_builders_sampled_9_4():
     for kind, dim, build in (("X", 1, star_support), ("Z", 3, boundary_support)):
         rows = support_rows(q, n, kind)
         blocks = axes_tuples(n, dim)
-        assert rows.shape == (len(blocks) * q**n, 6)
+        assert len(rows) == len(blocks) * q**n and {len(row) for row in rows} == {6}
         for _ in range(200):
             i = rng.randrange(len(rows))
             b, r = divmod(i, q**n)
             anchor = Cell(position_unrank(r, q, n), blocks[b])
-            assert tuple(rows[i]) == build(q, n, anchor).support
+            assert tuple(sorted(rows[i])) == build(q, n, anchor).support
 
 
 def test_support_rows_rejects_unknown_kind():
     with pytest.raises(ValueError, match="kind"):
-        support_rows(3, 3, "Y")
+        support_columns(3, 3, "Y")
 
 
 def test_overlap_multiplicities_equal_dense_product():
@@ -262,19 +280,23 @@ def test_overlap_multiplicities_equal_dense_product():
     assert overlaps.any()
 
 
+def _move_first_qubit(blocks: tuple) -> tuple:
+    # the first anchor's first qubit cell moves to a cell its support lacks
+    first = blocks[0]
+    moved = next(f for f in range(len(first[0])) if f not in [col[0] for col in first])
+    return (((moved,) + first[0][1:],) + first[1:],) + blocks[1:]
+
+
 @pytest.mark.parametrize("q,n", [(5, 2), (7, 3), (9, 4)])
 def test_commutation_check_detects_doctored_support(monkeypatch, q, n):
-    original = toric.support_rows
+    original = toric.support_columns
 
     def doctored(q, n, kind):
-        rows = original(q, n, kind)
-        if kind == "Z":
-            # move one qubit of the first Z support to a qubit it lacks
-            rows[0, 0] = next(f for f in range(q**n) if f not in rows[0])
-        return rows
+        blocks = original(q, n, kind)
+        return _move_first_qubit(blocks) if kind == "Z" else blocks
 
     assert commutation_check(q, n)
-    monkeypatch.setattr(toric, "support_rows", doctored)
+    monkeypatch.setattr(toric, "support_columns", doctored)
     assert not commutation_check(q, n)
 
 
@@ -282,18 +304,56 @@ def test_commutation_check_detects_doctored_support(monkeypatch, q, n):
 def test_commutation_check_detects_doctored_x_support(monkeypatch, q, n):
     # one qubit of the first X support moves to a qubit it lacks, so one
     # qubit cell lies in 2k + 1 X supports and another in 2k - 1
-    original = toric.support_rows
+    original = toric.support_columns
 
     def doctored(q, n, kind):
-        rows = original(q, n, kind)
-        if kind == "X":
-            rows[0, 0] = next(f for f in range(q**n) if f not in rows[0])
-        return rows
+        blocks = original(q, n, kind)
+        return _move_first_qubit(blocks) if kind == "X" else blocks
 
-    monkeypatch.setattr(toric, "support_rows", doctored)
+    monkeypatch.setattr(toric, "support_columns", doctored)
     assert not commutation_check(q, n)
     with pytest.raises(ValueError, match="2k X supports"):
         next(overlap_multiplicities(q, n))
+
+
+@pytest.mark.parametrize("q,n", [(5, 2), (7, 3), (9, 4)])
+@pytest.mark.parametrize("step", ["+e_0", "-e_0", "-e_last"])
+def test_commutation_check_detects_a_swapped_pair_in_one_table_row(monkeypatch, q, n, step):
+    # two entries of one step row of the table trade places: the supports
+    # built from it no longer close up into boundaries.  (A swap in row 0,
+    # the identity, relabels two corner cells in X and Z alike, and the
+    # relabelled complex still commutes.)
+    original = toric.sphere_shifts
+    row = {"+e_0": 1, "-e_0": 2, "-e_last": 2 * n}[step]
+
+    def doctored(q, n):
+        table = [list(r) for r in original(q, n)]
+        table[row][0], table[row][1] = table[row][1], table[row][0]
+        return tuple(map(tuple, table))
+
+    monkeypatch.setattr(toric, "sphere_shifts", doctored)
+    assert not commutation_check(q, n)
+
+
+@pytest.mark.parametrize("q,n", [(5, 2), (7, 3), (3, 4)])
+@pytest.mark.parametrize("reorder", ["sorted", "shuffled"])
+def test_commutation_check_reads_supports_as_sets(monkeypatch, q, n, reorder):
+    # cells out of incidence order within each support defeat the pairing,
+    # not the verdict: every anchor is then judged by its incidence multiset
+    original, rng = toric.support_columns, random.Random(7)
+    order = sorted if reorder == "sorted" else (lambda row: rng.sample(row, len(row)))
+
+    def reordered(q, n, kind):
+        return tuple(
+            tuple(zip(*(order(row) for row in zip(*cols)))) for cols in original(q, n, kind)
+        )
+
+    monkeypatch.setattr(toric, "support_columns", reordered)
+    assert commutation_check(q, n)
+    monkeypatch.setattr(
+        toric, "support_columns", lambda q, n, kind: _move_first_qubit(reordered(q, n, kind))
+    )
+    assert not commutation_check(q, n)
 
 
 def test_overlap_multiplicities_are_sorted_and_cover_every_z_row():
@@ -306,8 +366,8 @@ def test_overlap_multiplicities_are_sorted_and_cover_every_z_row():
 
 
 def test_commutation_check_9_4_memory_peak(traced_peak_mb):
-    # the row-paired check holds the supports, the face -> X-row table and
-    # one Z block's incidences (~6 MB); a global gather would exceed this
+    # the pair check holds one kind of support columns at a time, the
+    # (2k x qubits) facet table and one pair of incidence vectors (~5.2 MB)
     assert traced_peak_mb(lambda: commutation_check(9, 4)) <= 8
 
 
