@@ -24,6 +24,7 @@ import math
 from collections import Counter
 from functools import cached_property, reduce
 from itertools import product
+from operator import index
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .instances import certified_code, require_certified
@@ -174,8 +175,11 @@ def verify_burst_correction(
     extremal pattern of every slot for every anchor.  A pattern with mask
     m sees max_k |m & cls[k]| errors in its fullest block, cls[k] being the
     tile cells sharing cell k's block.  Failures are reported, not raised.
+    samples and seed must be integers; sampled mode needs numpy, and
+    without it ValueError comes before any sweep work.
     """
     q, n = require_certified(q, n)
+    samples, seed = None if samples is None else index(samples), index(seed)
     if exhaustive is not None and exhaustive != (samples is None):
         raise ValueError("choose either exhaustive mode or a sample count")
     if samples is not None and samples < 1:
@@ -185,6 +189,11 @@ def verify_burst_correction(
             f"sample count {samples} is over the limit of {MAX_SAMPLES}; "
             "use exhaustive mode"
         )
+    if samples is not None:
+        try:
+            import numpy  # noqa: F401  (the draws are numpy's PCG64)
+        except ImportError:
+            raise ValueError("the sampled sweep needs numpy, which is not installed") from None
 
     imap = build_interleaver(certified_code(q, n))
     alpha, anchors = imap.alpha, q**n

@@ -3,17 +3,18 @@
 Qubits live on the axis-aligned 2-cells of the periodic q^n cubical complex
 for n >= 3, and on edges in two dimensions.  A qubit cell's index is its
 axes block (sorted axes subsets, lexicographic) times q^n plus the row-major
-rank of its lower corner.  Stabilizer supports are columns of such indices,
-their neighbouring corners read off the torus table lee.sphere_shifts:
-X-type operators sit on the cells one dimension below the qubit cells,
-Z-type on the cells one dimension above, and commutation is just overlap
-parity, which dd = 0 pairs up, in plain Python: numpy is never loaded here.
+rank of its lower corner, and cells of every other dimension are indexed
+alike.  One builder, boundary_columns, gives the facets of every d-cell,
+their +e_a corners read off the torus table lee.sphere_shifts.  An X-type
+operator acts on the qubit cells that share a facet (d = k), a Z-type one
+on the boundary of a cell one dimension up (d = k + 1), and commutation is
+dd = 0, checked in plain Python: numpy is never loaded here.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import comb
 from operator import index
 from typing import NamedTuple, Optional
@@ -93,79 +94,51 @@ def stabilizer_counts(q: int, n: int) -> dict:
     }
 
 
-def support_columns(q: int, n: int, kind: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """All X (star) or Z (boundary) supports, one tuple of columns per block.
+def boundary_columns(q: int, n: int, d: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The facets of every d-cell of the q^n torus, one tuple of columns per block.
 
-    Blocks are the anchors' axes subsets in lexicographic order; a column
-    holds one qubit cell per anchor position, row-major.  Per axis a,
-    ascending, a block has two columns: the cell containing (X) or bounding
-    (Z) the anchor at its corner, then the one at corner - e_a (X) or + e_a
-    (Z).  Row i of a block, across its columns, is the i-th anchor's support.
+    Blocks are the d-cells' axes subsets in lexicographic order; a column
+    holds one facet per d-cell, its corners row-major, and a facet's index
+    is its own axes block times q^n plus the rank of its corner.  Per axis
+    a, ascending, a block has two columns: the facet without a at the
+    corner, then the same facet at corner + e_a.  d = k + 1 gives the Z
+    supports; d = k gives each qubit cell's 2k facets, the X generators.
     """
-    k = qubit_cell_dim(n)
-    if kind not in ("X", "Z"):
-        raise ValueError("kind must be 'X' or 'Z'")
-    cells, faces, star = q**n, axes_tuples(n, k), kind == "X"
-    ids = list(range(len(faces) * cells))  # one int object per qubit cell
-    face_block = {axes: ids[i * cells:(i + 1) * cells] for i, axes in enumerate(faces)}
-    shifts = sphere_shifts(q, n)  # rows 2a+1 and 2a+2: the +e_a and -e_a neighbours
+    cells, facets = q**n, axes_tuples(n, d - 1)
+    ids = list(range(len(facets) * cells))  # one int object per facet
+    shifts = sphere_shifts(q, n)  # row 2a+1: the +e_a neighbour
     blocks = []
-    for axes in axes_tuples(n, k - 1 if star else k + 1):
+    for axes in axes_tuples(n, d):
         cols = []
-        for a in (a for a in range(n) if (a in axes) != star):
-            block = face_block[tuple(sorted(set(axes) ^ {a}))]
-            cols += [tuple(block), tuple(map(block.__getitem__, shifts[2 * a + 1 + star]))]
+        for a in axes:
+            lo = facets.index(tuple(x for x in axes if x != a)) * cells
+            block = ids[lo:lo + cells]
+            cols += [tuple(block), tuple(map(block.__getitem__, shifts[2 * a + 1]))]
         blocks.append(tuple(cols))
     return tuple(blocks)
-
-
-def _facet_rows(q: int, n: int, xblocks: tuple) -> Optional[list[list[int]]]:
-    # facets[2j + s][f]: the X row through cell f's facet without its j-th axis,
-    # at f's corner (s = 0) or across it (s = 1), each X column inverted by the
-    # table step undoing it (checked; other layouts go cell by cell), or None.
-    k = qubit_cell_dim(n)
-    cells, faces = q**n, axes_tuples(n, k)
-    ids = list(range(len(faces) * cells))  # X rows never outnumber qubit cells
-    shifts = sphere_shifts(q, n)
-    facets = [[-1] * (len(faces) * cells) for _ in range(2 * k)]
-    inverted = True
-    for i, (axes, cols) in enumerate(zip(axes_tuples(n, k - 1), xblocks)):
-        free, x_ids = [a for a in range(n) if a not in axes], ids[i * cells:(i + 1) * cells]
-        for c, col in enumerate(cols):
-            a, across = free[c // 2], c % 2
-            face = tuple(sorted(axes + (a,)))
-            lo, back = faces.index(face) * cells, shifts[2 * a + 1 if across else 0]
-            inverted = inverted and [*map(list(col).__getitem__, back)] == ids[lo:lo + cells]
-            facets[2 * face.index(a) + across][lo:lo + cells] = map(x_ids.__getitem__, back)
-    if inverted:
-        return facets
-    x_of: list[list[int]] = [[] for _ in facets[0]]
-    for i, cols in enumerate(xblocks):
-        for col in cols:
-            for p, f in enumerate(col):
-                x_of[f].append(i * cells + p)
-    return [list(s) for s in zip(*x_of)] if {len(xs) for xs in x_of} == {2 * k} else None
 
 
 def commutation_check(q: int, n: int) -> bool:
     """Whether every X-type and Z-type pair overlaps on an even qubit count.
 
-    dd = 0 pairs a Z row's 2(k+1)·2k incidences: the X row reached through
-    its cell without axis a at side sa, then that cell's facet without b at
-    side sb, is the one reached through b, then a.  Pairs are compared as
-    vectors over a Z block's anchors, and an anchor where one differs has
-    its incidence multiset counted, so doctored supports of support_columns'
-    shape are judged exactly.  X supports that do not put every qubit cell in
-    exactly 2k of them fail; past MAX_INCIDENCES, ValueError comes first.
+    That is dd = 0 on the torus: the X generators through a qubit cell are
+    its facets, boundary_columns(q, n, k), and a Z support is the boundary
+    of a (k+1)-cell, boundary_columns(q, n, k + 1).  dd = 0 pairs a Z row's
+    2(k+1)·2k incidences: the facet without b at side sb of its cell without
+    a at side sa is the one reached through b, then a.  Pairs are compared
+    as vectors over a Z block's anchors, and an anchor where one differs has
+    its incidence multiset counted, so doctored columns of boundary_columns'
+    shape are judged exactly.  Past MAX_INCIDENCES, ValueError comes first.
     """
     # the work is at least q**n >= 2**n: refuse a long n before any power
     long_n = q >= 2 and n > MAX_INCIDENCES.bit_length()
     if long_n or stabilizer_counts(q, n)["incidences_checked"] > MAX_INCIDENCES:
         raise ValueError(f"the {q}^{n} torus is over the limit of {MAX_INCIDENCES} incidences")
-    facets = _facet_rows(q, n, support_columns(q, n, "X"))
-    if facets is None:
-        return False
-    for cols in support_columns(q, n, "Z"):
+    k = qubit_cell_dim(n)
+    # facets[2j + s][f]: the X generator through qubit cell f's facet
+    # without its j-th axis, at f's corner (s = 0) or across it (s = 1)
+    facets = [list(chain.from_iterable(c)) for c in zip(*boundary_columns(q, n, k))]
+    for cols in boundary_columns(q, n, k + 1):
         odd = set()
         # column 2a + sa is the cell without the anchor's a-th axis; for
         # a < b, the anchor's b-th axis is that cell's (b-1)-th

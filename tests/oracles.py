@@ -5,7 +5,9 @@ same-block matmul formula, over blocks looked up one tile cell at a time.
 Two numpy oracles keep the package's former array methods: the sorted-run
 overlap count of the commutation check (overlap_multiplicities) and the
 hit-cell mask quotient of the exhaustive burst sweep (mask_quotient_sweep).
-support_rows reads toric.support_columns one support per anchor."""
+cell_facets builds the facets of every d-cell one cell at a time, and
+support_rows reads the stabilizers off toric.boundary_columns: Z supports
+are its (k+1)-cell rows, X supports its qubit-cell facets transposed."""
 
 from __future__ import annotations
 
@@ -257,9 +259,44 @@ def tile_classes(imap: InterleaverMap) -> np.ndarray:
     return same @ (1 << np.arange(len(offsets)))
 
 
+def cell_facets(q: int, n: int, d: int) -> list[list[int]]:
+    """The facets of every d-cell, one sorted list per cell, in cell order.
+
+    Cells run over their axes blocks, then positions.  A facet drops one
+    axis a of its cell, at the cell's corner or at corner + e_a, and is
+    indexed as its axes block times q^n plus the position_rank of its corner.
+    """
+    facet_axes = axes_tuples(n, d - 1)
+    out = []
+    for axes in axes_tuples(n, d):
+        for pos in product(range(q), repeat=n):
+            idx = []
+            for a in axes:
+                lo = facet_axes.index(tuple(x for x in axes if x != a)) * q**n
+                idx.append(lo + position_rank(pos, q))
+                idx.append(lo + position_rank([x + (i == a) for i, x in enumerate(pos)], q))
+            out.append(sorted(idx))
+    return out
+
+
 def support_rows(q: int, n: int, kind: str) -> tuple[tuple[int, ...], ...]:
-    """toric.support_columns read as one support tuple per anchor, in order."""
-    return tuple(row for cols in toric.support_columns(q, n, kind) for row in zip(*cols))
+    """One support tuple per X or Z generator, in generator order.
+
+    Z rows are toric.boundary_columns(q, n, k + 1) read row by row.  X rows
+    transpose the qubit cells' facets, boundary_columns(q, n, k): generator
+    x acts on every qubit cell with x among its facets, in qubit order.
+    """
+    if kind not in ("X", "Z"):
+        raise ValueError("kind must be 'X' or 'Z'")
+    k = qubit_cell_dim(n)
+    rows = (row for cols in toric.boundary_columns(q, n, k + (kind == "Z")) for row in zip(*cols))
+    if kind == "Z":
+        return tuple(rows)
+    x_rows: list[list[int]] = [[] for _ in range(stabilizer_counts(q, n)["x_generators"])]
+    for f, facets in enumerate(rows):
+        for x in facets:
+            x_rows[x].append(f)
+    return tuple(map(tuple, x_rows))
 
 
 def mask_quotient_sweep(imap: InterleaverMap) -> tuple[int, int]:
@@ -291,14 +328,12 @@ def overlap_multiplicities(
 
     A pair's multiplicity, its number of shared qubit cells, is its run length
     in the Z row's sorted X-row incidences, one Z axes-block (q^n rows) at a
-    time.  Reads toric.support_columns when first advanced, and raises
-    ValueError when a qubit cell is not in exactly 2k X supports.
+    time.  Reads toric.boundary_columns when first advanced; every qubit
+    cell is in 2k X supports, one per facet.
     """
     xrows = np.asarray(support_rows(q, n, "X"))
     zrows = np.asarray(support_rows(q, n, "Z"))
     flat, per_face = xrows.ravel(), 2 * qubit_cell_dim(n)
-    if np.any(np.bincount(flat, minlength=stabilizer_counts(q, n)["qubits"]) != per_face):
-        raise ValueError("some qubit cell is not in exactly 2k X supports")
     x_of_face = np.argsort(flat, kind="stable").reshape(-1, per_face) // xrows.shape[1]
     for b, block in enumerate(zrows.reshape(-1, q**n, zrows.shape[1])):
         inc = np.sort(x_of_face[block].reshape(q**n, -1))

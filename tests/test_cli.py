@@ -123,7 +123,7 @@ def test_verify_stabilizers_refuses_oversized_torus(capsys, monkeypatch, n):
     def no_allocation(*args):
         raise AssertionError("support rows built past the work limit")
 
-    monkeypatch.setattr(toric, "support_columns", no_allocation)
+    monkeypatch.setattr(toric, "boundary_columns", no_allocation)
     t0 = time.monotonic()
     assert run_cli(["verify", "stabilizers", "--q", "50", "--n", n]) == 2
     assert time.monotonic() - t0 < 1
@@ -341,3 +341,14 @@ def test_numpy_free_commands_run_without_numpy(capsys):
         assert run_cli(argv) == code == want, argv
         normal = capsys.readouterr().out
         assert out and _without_timestamp(out) == _without_timestamp(normal), argv
+
+
+def test_sampled_sweep_without_numpy_is_a_usage_error():
+    # the sampled sweep refuses before any sweep work: exit 2, one stderr
+    # line naming numpy, nothing on stdout
+    proc = run_python("-c", NO_NUMPY_PROBE, json.dumps(NUMPY_COMMANDS))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[2, ""]] * len(NUMPY_COMMANDS)
+    lines = proc.stderr.splitlines()
+    assert len(lines) == len(NUMPY_COMMANDS)
+    assert all(line.startswith("error: ") and "numpy" in line for line in lines)

@@ -445,6 +445,19 @@ def test_sweep_mode_errors():
         verify_burst_correction(5, 3)
 
 
+@pytest.mark.parametrize("field", ["samples", "seed"])
+@pytest.mark.parametrize("bad", [2.5, "7"])
+def test_sweep_takes_only_integer_samples_and_seeds(field, bad):
+    with pytest.raises(TypeError):
+        verify_burst_correction(7, 3, **{"samples": 10, "seed": 1, field: bad})
+
+
+def test_sweep_reads_numpy_integers_as_ints():
+    s = verify_burst_correction(9, 4, samples=np.int64(7000), seed=np.uint64(5))
+    assert s == verify_burst_correction(9, 4, samples=7000, seed=5)
+    assert type(s.samples) is int and type(s.seed) is int
+
+
 def test_interleaved_params_frozen():
     p3 = interleaved_params(7, 3)
     assert (p3.n_code, p3.k, p3.t) == (1029, 147, 7)
@@ -461,5 +474,5 @@ def test_public_surface_leaves_the_oracles_to_the_tests():
     assert names == sorted(names) and len(names) == 42
     assert all(hasattr(leetoric, name) for name in names)
     moved = {k for k, v in vars(oracles).items() if getattr(v, "__module__", None) == "oracles"}
-    assert len(moved) == 24 and not moved & set(names)
+    assert len(moved) == 25 and not moved & set(names)
     assert not [k for k in moved for m in (leetoric.toric, interleave) if hasattr(m, k)]

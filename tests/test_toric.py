@@ -22,13 +22,14 @@ from leetoric import toric
 from leetoric.toric import (
     MAX_INCIDENCES,
     axes_tuples,
+    boundary_columns,
     qubit_cell_dim,
     stabilizer_counts,
-    support_columns,
 )
 from oracles import (
     Cell,
     boundary_support,
+    cell_facets,
     enumerate_faces,
     face_from_index,
     face_index,
@@ -216,29 +217,32 @@ def per_cell_supports(q: int, n: int, kind: str) -> list:
     ]
 
 
+def boundary_rows(q: int, n: int, d: int) -> list:
+    """boundary_columns read as one facet tuple per d-cell, in cell order."""
+    return [row for cols in boundary_columns(q, n, d) for row in zip(*cols)]
+
+
 @pytest.mark.parametrize("q,n", [(5, 2), (2, 3), (7, 3), (3, 4)])
 @pytest.mark.parametrize("kind", ["X", "Z"])
 def test_support_rows_match_per_cell_builders(q, n, kind):
-    blocks = support_columns(q, n, kind)
-    assert all(type(col) is tuple and len(col) == q**n for cols in blocks for col in cols)
     rows = support_rows(q, n, kind)
     assert [sorted(row) for row in rows] == per_cell_supports(q, n, kind)
-    # incidence order: per axis a, the cell at the anchor's corner, then the
-    # one across a (corner - e_a for X, + e_a for Z)
-    k = qubit_cell_dim(n)
-    anchors = [
-        Cell(pos, axes)
-        for axes in axes_tuples(n, k - 1 if kind == "X" else k + 1)
-        for pos in product(range(q), repeat=n)
-    ]
-    step = -1 if kind == "X" else 1
-    for anchor, row in zip(anchors, rows):
-        axes = [a for a in range(n) if (a in anchor.axes) == (kind == "Z")]
-        assert len(row) == 2 * len(axes)
-        for j, a in enumerate(axes):
-            corner, across = (face_from_index(q, n, f).position for f in row[2 * j:2 * j + 2])
-            assert corner == anchor.position
-            assert across == tuple((x + step * (i == a)) % q for i, x in enumerate(corner))
+    # facet order: per axis a of a cell, ascending, the facet without a at
+    # the cell's corner, then the same facet at corner + e_a.  Z rows are
+    # the (k+1)-cells' facets, and the X generators each qubit cell's.
+    d = qubit_cell_dim(n) + (kind == "Z")
+    blocks = boundary_columns(q, n, d)
+    assert all(type(col) is tuple and len(col) == q**n for cols in blocks for col in cols)
+    facet_axes = axes_tuples(n, d - 1)
+    cells = [Cell(pos, axes) for axes in axes_tuples(n, d) for pos in product(range(q), repeat=n)]
+    for cell, row in zip(cells, boundary_rows(q, n, d), strict=True):
+        assert len(row) == 2 * d
+        for j, a in enumerate(cell.axes):
+            near, far = (divmod(f, q**n) for f in row[2 * j:2 * j + 2])
+            axes = facet_axes.index(tuple(x for x in cell.axes if x != a))
+            shifted = tuple((x + (i == a)) % q for i, x in enumerate(cell.position))
+            assert near == (axes, position_rank(cell.position, q))
+            assert far == (axes, position_rank(shifted, q))
 
 
 def test_support_rows_match_per_cell_builders_sampled_9_4():
@@ -257,7 +261,23 @@ def test_support_rows_match_per_cell_builders_sampled_9_4():
 
 def test_support_rows_rejects_unknown_kind():
     with pytest.raises(ValueError, match="kind"):
-        support_columns(3, 3, "Y")
+        support_rows(3, 3, "Y")
+
+
+@pytest.mark.parametrize("q,n", [(5, 2), (3, 3), (2, 4), (3, 4)])
+def test_boundary_columns_match_per_cell_oracle_and_square_to_zero(q, n):
+    # every dimension, not only the stabilizers' k and k + 1: the facet
+    # rows equal the per-cell oracle's, and the dense GF(2) product of the
+    # d-cells' and (d+1)-cells' boundary matrices vanishes
+    dense = {}
+    for d in range(1, n + 1):
+        rows = boundary_rows(q, n, d)
+        assert [sorted(row) for row in rows] == cell_facets(q, n, d)
+        h = np.zeros((len(rows), len(axes_tuples(n, d - 1)) * q**n), dtype=np.int64)
+        np.add.at(h, (np.repeat(np.arange(len(rows)), 2 * d), np.ravel(rows)), 1)
+        dense[d] = h
+    for d in range(1, n):
+        assert not np.any(dense[d + 1] @ dense[d] % 2), d
 
 
 def test_overlap_multiplicities_equal_dense_product():
@@ -280,51 +300,49 @@ def test_overlap_multiplicities_equal_dense_product():
     assert overlaps.any()
 
 
-def _move_first_qubit(blocks: tuple) -> tuple:
-    # the first anchor's first qubit cell moves to a cell its support lacks
+def _move_first_facet(blocks: tuple) -> tuple:
+    # the first cell's first facet moves to a facet its row lacks
     first = blocks[0]
     moved = next(f for f in range(len(first[0])) if f not in [col[0] for col in first])
     return (((moved,) + first[0][1:],) + first[1:],) + blocks[1:]
 
 
+def _doctor_dimension(monkeypatch, d: int) -> None:
+    # boundary_columns(q, n, d) has its first facet moved; other d are intact
+    original = toric.boundary_columns
+
+    def doctored(q, n, dim):
+        blocks = original(q, n, dim)
+        return _move_first_facet(blocks) if dim == d else blocks
+
+    monkeypatch.setattr(toric, "boundary_columns", doctored)
+
+
 @pytest.mark.parametrize("q,n", [(5, 2), (7, 3), (9, 4)])
 def test_commutation_check_detects_doctored_support(monkeypatch, q, n):
-    original = toric.support_columns
-
-    def doctored(q, n, kind):
-        blocks = original(q, n, kind)
-        return _move_first_qubit(blocks) if kind == "Z" else blocks
-
+    # one qubit cell of the first Z support moves to a cell it lacks
     assert commutation_check(q, n)
-    monkeypatch.setattr(toric, "support_columns", doctored)
+    _doctor_dimension(monkeypatch, qubit_cell_dim(n) + 1)
     assert not commutation_check(q, n)
 
 
 @pytest.mark.parametrize("q,n", [(5, 2), (7, 3), (9, 4)])
 def test_commutation_check_detects_doctored_x_support(monkeypatch, q, n):
-    # one qubit of the first X support moves to a qubit it lacks, so one
-    # qubit cell lies in 2k + 1 X supports and another in 2k - 1
-    original = toric.support_columns
-
-    def doctored(q, n, kind):
-        blocks = original(q, n, kind)
-        return _move_first_qubit(blocks) if kind == "X" else blocks
-
-    monkeypatch.setattr(toric, "support_columns", doctored)
+    # the first qubit cell's first facet moves to an X generator it lacks:
+    # the cell is still in 2k X supports, but its facets no longer close up
+    _doctor_dimension(monkeypatch, qubit_cell_dim(n))
     assert not commutation_check(q, n)
-    with pytest.raises(ValueError, match="2k X supports"):
-        next(overlap_multiplicities(q, n))
 
 
 @pytest.mark.parametrize("q,n", [(5, 2), (7, 3), (9, 4)])
-@pytest.mark.parametrize("step", ["+e_0", "-e_0", "-e_last"])
+@pytest.mark.parametrize("step", ["+e_0", "+e_1", "+e_last"])
 def test_commutation_check_detects_a_swapped_pair_in_one_table_row(monkeypatch, q, n, step):
-    # two entries of one step row of the table trade places: the supports
+    # two entries of one +e_a row of the table trade places: the facets
     # built from it no longer close up into boundaries.  (A swap in row 0,
-    # the identity, relabels two corner cells in X and Z alike, and the
-    # relabelled complex still commutes.)
+    # the identity, relabels two corner cells in every dimension alike, and
+    # the relabelled complex still commutes; the -e_a rows are not read.)
     original = toric.sphere_shifts
-    row = {"+e_0": 1, "-e_0": 2, "-e_last": 2 * n}[step]
+    row = {"+e_0": 1, "+e_1": 3, "+e_last": 2 * n - 1}[step]
 
     def doctored(q, n):
         table = [list(r) for r in original(q, n)]
@@ -338,20 +356,21 @@ def test_commutation_check_detects_a_swapped_pair_in_one_table_row(monkeypatch, 
 @pytest.mark.parametrize("q,n", [(5, 2), (7, 3), (3, 4)])
 @pytest.mark.parametrize("reorder", ["sorted", "shuffled"])
 def test_commutation_check_reads_supports_as_sets(monkeypatch, q, n, reorder):
-    # cells out of incidence order within each support defeat the pairing,
-    # not the verdict: every anchor is then judged by its incidence multiset
-    original, rng = toric.support_columns, random.Random(7)
+    # facets out of incidence order within each row, for the X generators
+    # and the Z supports alike, defeat the pairing, not the verdict: every
+    # anchor is then judged by its incidence multiset
+    original, rng = toric.boundary_columns, random.Random(7)
     order = sorted if reorder == "sorted" else (lambda row: rng.sample(row, len(row)))
 
-    def reordered(q, n, kind):
+    def reordered(q, n, d):
         return tuple(
-            tuple(zip(*(order(row) for row in zip(*cols)))) for cols in original(q, n, kind)
+            tuple(zip(*(order(row) for row in zip(*cols)))) for cols in original(q, n, d)
         )
 
-    monkeypatch.setattr(toric, "support_columns", reordered)
+    monkeypatch.setattr(toric, "boundary_columns", reordered)
     assert commutation_check(q, n)
     monkeypatch.setattr(
-        toric, "support_columns", lambda q, n, kind: _move_first_qubit(reordered(q, n, kind))
+        toric, "boundary_columns", lambda q, n, d: _move_first_facet(reordered(q, n, d))
     )
     assert not commutation_check(q, n)
 
