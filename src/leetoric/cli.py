@@ -123,8 +123,10 @@ def _cmd_stabilizers(args: argparse.Namespace) -> int:
 
 def _cmd_interleave_verify(args: argparse.Namespace) -> int:
     # --exhaustive names the default mode; argparse keeps it apart from --samples
+    if args.seed is not None and args.samples is None:
+        raise ValueError("--seed applies only to a sampled sweep: give --samples")
     summary = verify_burst_correction(
-        args.q, args.n, samples=args.samples, seed=args.seed
+        args.q, args.n, samples=args.samples, seed=args.seed or 0
     )
     passed = summary.failures == 0 and summary.max_block_errors <= 1
     cert = make_certificate(
@@ -206,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = iverify.add_mutually_exclusive_group()
     group.add_argument("--exhaustive", action="store_true")
     group.add_argument("--samples", type=int, default=None)
-    iverify.add_argument("--seed", type=_parse_seed, default=0)
+    iverify.add_argument("--seed", type=_parse_seed, default=None)
     iverify.set_defaults(func=_cmd_interleave_verify)
 
     tables = sub.add_parser("tables", help="emit the rate/gain tables")

@@ -45,7 +45,7 @@ MAX_SAMPLES = 10**8
 
 # Sampled draws are judged this many at a time, which bounds the sweep's
 # working memory whatever the sample count.
-_DRAW_CHUNK = 2**14
+_DRAW_CHUNK = 2**12
 
 
 class LogicalIndex(NamedTuple):
@@ -147,11 +147,13 @@ def all_burst_translates(q: int, n: int) -> tuple[Vec, ...]:
 
 
 def _tile_classes(imap: InterleaverMap) -> np.ndarray:
-    # cls[a, k] = bitmask of the cells of anchor a's tile in cell k's block
+    # cls[a, k] = bitmask of the cells of anchor a's tile in cell k's block, in
+    # the least unsigned dtype of 2n+1 bits; ranks below MAX_POINTS fit int32
     import numpy as np
 
-    blocks = np.asarray(imap.block_of)[np.asarray(sphere_shifts(imap.q, imap.n)).T]
-    cls = np.zeros(blocks.shape, dtype=np.int64)
+    shifts = sphere_shifts(imap.q, imap.n)
+    blocks = np.asarray(imap.block_of, dtype=np.int32)[np.asarray(shifts, dtype=np.int32).T]
+    cls = np.zeros(blocks.shape, dtype=np.min_scalar_type(2 ** blocks.shape[1] - 1))
     for j in range(blocks.shape[1]):
         np.bitwise_or(cls, 1 << j, out=cls, where=blocks == blocks[:, j, None])
     return cls
@@ -226,30 +228,34 @@ def _sampled_sweep(imap: InterleaverMap, samples: int, seed: int) -> tuple[int, 
     anchors, sphere = cls.shape
     masks = np.arange(2**sphere)
     popcount = ((masks[:, None] >> np.arange(sphere)) & 1).sum(axis=1)
-    # Anchors with equal class rows share every verdict: worst[m, u] is the
-    # error count of the fullest block when mask m hits a tile of class u,
-    # the distinct rows sorted lexicographically and found by run starts.
+    # Anchors with equal class rows share every verdict: worst[u << sphere | m]
+    # (int8) is the error count of the fullest block when mask m hits a tile of
+    # distinct class row u, the rows sorted lexicographically and found by run
+    # starts, and filled in one row at a time.
     order = np.lexsort(cls.T[::-1])
     ranked = cls[order]
     first = np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]
     rows, row_of = ranked[first], (np.cumsum(first) - 1)[np.argsort(order)]
-    worst = popcount[masks[:, None, None] & rows].max(axis=-1)
+    del cls, ranked, order
+    worst = np.empty(len(rows) << sphere, dtype=np.int8)
+    for u, row in enumerate(rows):
+        worst[u << sphere:(u + 1) << sphere] = popcount[masks[:, None] & row].max(axis=1)
     # the alpha extremal patterns of an anchor all hit every tile cell
-    extremal = worst[-1, row_of]
+    extremal = worst[row_of << sphere | (2**sphere - 1)]
     failures = imap.alpha * int(np.count_nonzero(extremal >= 2))
     max_block = int(extremal.max())
     per_anchor = math.ceil(samples / anchors)
     draws = anchors * per_anchor
+    weights = np.left_shift(1, np.arange(sphere), dtype=np.int16)
     rng = np.random.default_rng(seed)
     for lo in range(0, draws, _DRAW_CHUNK):
         hi = min(lo + _DRAW_CHUNK, draws)
         # one call over consecutive draws, int32 or int64, yields the same
-        # stream as one call per anchor; draw d is anchor d // per_anchor's
+        # stream as one call per anchor; draw d is anchor d // per_anchor's,
+        # and an integer matmul (no BLAS) weighs its hit cells into its mask
         hit = rng.integers(0, imap.alpha + 1, size=(hi - lo, sphere), dtype=np.int32) > 0
-        mask = np.zeros(hi - lo, dtype=np.int64)
-        for j in range(sphere):
-            mask |= np.left_shift(hit[:, j], j, dtype=np.int64)
-        drawn = worst[mask, row_of[np.arange(lo, hi) // per_anchor]]
+        mask = hit.view(np.uint8) @ weights
+        drawn = worst[row_of[np.arange(lo, hi) // per_anchor] << sphere | mask]
         failures += int(np.count_nonzero(drawn >= 2))
         max_block = max(max_block, int(drawn.max()))
     return failures, max_block, per_anchor

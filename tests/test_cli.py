@@ -196,6 +196,22 @@ def test_seed_validation():
     assert run_cli(base + ["--seed", "notanumber"]) == 2
 
 
+@pytest.mark.parametrize("mode", [[], ["--exhaustive"]])
+def test_seed_without_samples_is_a_usage_error(capsys, mode):
+    argv = ["interleave", "verify", "--q", "7", "--n", "3", "--seed", "5", *mode]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "--samples" in captured.err
+
+
+def test_sampled_sweep_seed_defaults_to_zero(capsys):
+    base = ["interleave", "verify", "--q", "7", "--n", "3", "--samples", "1000"]
+    code, cert = run_and_parse(capsys, base)
+    assert code == 0 and cert["inputs"]["seed"] == cert["counts"]["seed"] == 0
+    assert cert["counts"] == run_and_parse(capsys, base + ["--seed", "0"])[1]["counts"]
+
+
 def test_decode_command(capsys):
     code, cert = run_and_parse(
         capsys, ["decode", "--q", "7", "--n", "3", "--point", "1,1,1"]

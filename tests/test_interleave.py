@@ -364,19 +364,26 @@ def test_doctored_blocks_match_pattern_oracle_3d_exhaustive(monkeypatch):
     assert s.max_block_errors == int(worst.max())
 
 
-def test_doctored_blocks_match_pattern_oracle_4d_sampled(monkeypatch):
-    imap = _doctored(9, 4, tiles=40, seed=43)
-    # draw per anchor, as a sweep with one generator call per anchor would
-    rng = np.random.default_rng(5)
-    extremal = np.repeat(np.arange(1, imap.alpha + 1)[:, None], 9, axis=1)
-    worst = np.concatenate([
+def _sampled_oracle(imap, per_anchor: int, seed: int) -> np.ndarray:
+    # The alpha extremal patterns and then per_anchor seeded draws of every
+    # anchor, drawn per anchor as a sweep with one generator call per anchor
+    # would, judged by _oracle_worst.
+    rng = np.random.default_rng(seed)
+    sphere = 2 * imap.n + 1
+    extremal = np.repeat(np.arange(1, imap.alpha + 1)[:, None], sphere, axis=1)
+    return np.concatenate([
         _oracle_worst(
             imap,
             anchor,
-            np.vstack([extremal, rng.integers(0, imap.alpha + 1, size=(2, 9))]),
+            np.vstack([extremal, rng.integers(0, imap.alpha + 1, size=(per_anchor, sphere))]),
         )
-        for anchor in all_burst_translates(9, 4)
+        for anchor in all_burst_translates(imap.q, imap.n)
     ])
+
+
+def test_doctored_blocks_match_pattern_oracle_4d_sampled(monkeypatch):
+    imap = _doctored(9, 4, tiles=40, seed=43)
+    worst = _sampled_oracle(imap, per_anchor=2, seed=5)
     monkeypatch.setattr(interleave, "build_interleaver", lambda code: imap)
     s = verify_burst_correction(9, 4, samples=7000, seed=5)
     assert s.patterns_checked == worst.size
@@ -384,20 +391,47 @@ def test_doctored_blocks_match_pattern_oracle_4d_sampled(monkeypatch):
     assert s.max_block_errors == int(worst.max())
 
 
+@pytest.mark.parametrize("q,n,tiles,seed", [(7, 3, 12, 41), (9, 4, 40, 43)])
+def test_sampled_chunks_that_split_anchors_match_the_oracle(monkeypatch, q, n, tiles, seed):
+    # 6 draws per anchor: a chunk of 4 is shorter than an anchor's run and a
+    # chunk of 64 longer, and both end inside some anchors' runs
+    imap = _doctored(q, n, tiles=tiles, seed=seed)
+    worst = _sampled_oracle(imap, per_anchor=6, seed=9)
+    monkeypatch.setattr(interleave, "build_interleaver", lambda code: imap)
+    samples = q**n * 5 + 1
+    default = verify_burst_correction(q, n, samples=samples, seed=9)
+    assert default.patterns_checked == worst.size
+    assert default.failures == int(np.count_nonzero(worst >= 2)) > 0
+    assert default.max_block_errors == int(worst.max())
+    for chunk in (4, 64):
+        monkeypatch.setattr(interleave, "_DRAW_CHUNK", chunk)
+        assert verify_burst_correction(q, n, samples=samples, seed=9) == default
+
+
 def test_tile_classes_match_the_matmul_oracle(imap3, imap4):
     doctored = _doctored(9, 4, tiles=40, seed=43)
     for imap in (imap3, imap4, doctored):
         cls = interleave._tile_classes(imap)
-        assert cls.dtype == np.int64
-        assert np.array_equal(cls, oracles.tile_classes(imap))
+        assert cls.dtype.kind == "u"
+        assert cls.tolist() == oracles.tile_classes(imap).tolist()
     assert len(np.unique(interleave._tile_classes(imap4), axis=0)) == 1
     assert len(np.unique(interleave._tile_classes(doctored), axis=0)) > 1
 
 
 def test_tile_classes_9_4_memory_peak(imap4, traced_peak_mb):
     # one same-block comparison per tile cell, ORed in place: the (6561, 9)
-    # blocks and classes and one bool column test (~1 MB), no upcast cube
+    # blocks and classes and one bool column test (~0.5 MB), no upcast cube
     assert traced_peak_mb(lambda: interleave._tile_classes(imap4)) <= 2
+
+
+def test_sampled_sweep_working_set_does_not_grow_with_samples(traced_peak_mb):
+    # one chunk of draws and the compact verdict table, whatever the count
+    rise = [
+        traced_peak_mb(lambda: verify_burst_correction(9, 4, samples=samples, seed=5))
+        for samples in (10**5, 10**6)
+    ]
+    assert rise[1] <= 1.5
+    assert abs(rise[1] - rise[0]) <= 0.1
 
 
 def _overwritten(imap: InterleaverMap, seed: int) -> InterleaverMap:
