@@ -22,12 +22,9 @@ from .interleave import (
 from .lattices import (
     ChainReport,
     IntMatrix,
-    contains,
     coset_count,
     determinant,
-    hermite_decomposition,
     hermite_form,
-    solve_left,
     verify_chain,
 )
 from .lee import (
@@ -78,13 +75,11 @@ __all__ = [
     "certified_code",
     "code_generators",
     "commutation_check",
-    "contains",
     "coset_count",
     "decode_nearest",
     "determinant",
     "emit_tables",
     "enumerate_codewords",
-    "hermite_decomposition",
     "hermite_form",
     "interleaved_params",
     "lee_sphere",
@@ -95,7 +90,6 @@ __all__ = [
     "parse_tables",
     "rate_gain",
     "scaling_matrix",
-    "solve_left",
     "symmetric_residue",
     "table_rows",
     "tiling_check",

@@ -18,8 +18,8 @@ from .lee import LeeCode, enumerate_codewords
 CERTIFIED: tuple[tuple[int, int], ...] = ((7, 3), (9, 4))
 
 _SCALING = {
-    (7, 3): IntMatrix.from_rows(((0, 2, 1), (0, 1, 4), (1, 0, 2))),
-    (9, 4): IntMatrix.from_rows(
+    (7, 3): IntMatrix(((0, 2, 1), (0, 1, 4), (1, 0, 2))),
+    (9, 4): IntMatrix(
         ((0, 0, 1, 6), (0, 0, -1, 3), (0, 1, 1, 1), (1, 0, 0, 2))
     ),
 }

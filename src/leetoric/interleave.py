@@ -165,7 +165,7 @@ def verify_burst_correction(
     *,
     exhaustive: Optional[bool] = None,
     samples: Optional[int] = None,
-    seed: int = 0,
+    seed: Optional[int] = None,
 ) -> BurstSweepSummary:
     """Sweep Lee-sphere bursts over every translate and count failures.
 
@@ -177,11 +177,16 @@ def verify_burst_correction(
     extremal pattern of every slot for every anchor.  A pattern with mask
     m sees max_k |m & cls[k]| errors in its fullest block, cls[k] being the
     tile cells sharing cell k's block.  Failures are reported, not raised.
-    samples and seed must be integers; sampled mode needs numpy, and
-    without it ValueError comes before any sweep work.
+    samples and seed must be integers.  A seed applies only to sampled
+    mode: given without samples it raises ValueError; omitted, it is 0.
+    Sampled mode needs numpy, and without it ValueError comes before any
+    sweep work.
     """
     q, n = require_certified(q, n)
-    samples, seed = None if samples is None else index(samples), index(seed)
+    if seed is not None and samples is None:
+        raise ValueError("--seed applies only to a sampled sweep: give --samples")
+    samples = None if samples is None else index(samples)
+    seed = index(0 if seed is None else seed)
     if exhaustive is not None and exhaustive != (samples is None):
         raise ValueError("choose either exhaustive mode or a sample count")
     if samples is not None and samples < 1:
@@ -252,7 +257,8 @@ def _sampled_sweep(imap: InterleaverMap, samples: int, seed: int) -> tuple[int, 
         hi = min(lo + _DRAW_CHUNK, draws)
         # one call over consecutive draws, int32 or int64, yields the same
         # stream as one call per anchor; draw d is anchor d // per_anchor's,
-        # and an integer matmul (no BLAS) weighs its hit cells into its mask
+        # and an integer matrix product (no BLAS) weighs its hit cells into
+        # its mask
         hit = rng.integers(0, imap.alpha + 1, size=(hi - lo, sphere), dtype=np.int32) > 0
         mask = hit.view(np.uint8) @ weights
         drawn = worst[row_of[np.arange(lo, hi) // per_anchor] << sphere | mask]

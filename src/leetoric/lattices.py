@@ -3,8 +3,8 @@
 A sublattice is presented by a square integer matrix whose rows generate it:
 the lattice is {x . M : x integer row vector}.  Everything here is exact
 integer arithmetic (Python ints, so no overflow and no rounding): fraction-free
-determinants, row-style Hermite normal form, membership and witness solving,
-coset counting, and certification of nested chains Z^n > M Z^n > q Z^n.
+determinants, row-style Hermite normal form, coset counting, and
+certification of nested chains Z^n > M Z^n > q Z^n.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from __future__ import annotations
 from math import prod
 from operator import index
 from typing import NamedTuple, Optional, Sequence
-
-Vec = tuple[int, ...]
 
 
 class IntMatrix(NamedTuple("IntMatrix", [("rows", tuple[tuple[int, ...], ...])])):
@@ -38,33 +36,12 @@ class IntMatrix(NamedTuple("IntMatrix", [("rows", tuple[tuple[int, ...], ...])])
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        return cls(rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-
-    @classmethod
     def scalar(cls, c: int, n: int) -> "IntMatrix":
         return cls(tuple(tuple(c * int(i == j) for j in range(n)) for i in range(n)))
 
     @property
     def n(self) -> int:
         return len(self.rows)
-
-    def left_mul(self, v: Sequence[int]) -> Vec:
-        """Row vector times matrix: returns v . M."""
-        if len(v) != self.n:
-            raise ValueError("dimension mismatch")
-        return tuple(
-            sum(v[i] * self.rows[i][j] for i in range(self.n)) for j in range(self.n)
-        )
-
-    def matmul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        return IntMatrix(tuple(other.left_mul(r) for r in self.rows))
 
 
 def determinant(m: IntMatrix) -> int:
@@ -109,17 +86,16 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def hermite_decomposition(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Row-style Hermite normal form with its unimodular transform.
+def hermite_form(m: IntMatrix) -> IntMatrix:
+    """Canonical row Hermite normal form of a nonsingular matrix.
 
-    Returns (H, U) with U . m = H, |det U| = 1, H upper triangular with
-    positive diagonal pivots, and every entry above a pivot reduced into
-    [0, pivot).  Row spans of H and m coincide, which is what membership
-    and coset counting rely on.
+    H is upper triangular with positive diagonal pivots, and every entry
+    above a pivot is reduced into [0, pivot).  Each step is a unimodular row
+    operation, so the row spans of H and m coincide, which is what coset
+    counting and the chain's inclusion test rely on.
     """
     n = m.n
-    # one elimination of the augmented rows [m | I] leaves [H | U]
-    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m.rows)]
+    a = [list(r) for r in m.rows]
     for c in range(n):
         piv = next((r for r in range(c, n) if a[r][c] != 0), None)
         if piv is None:
@@ -141,15 +117,7 @@ def hermite_decomposition(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             f = a[r][c] // a[c][c]
             if f:
                 a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return (
-        IntMatrix.from_rows([r[:n] for r in a]),
-        IntMatrix.from_rows([r[n:] for r in a]),
-    )
-
-
-def hermite_form(m: IntMatrix) -> IntMatrix:
-    """Canonical row Hermite normal form of a nonsingular matrix."""
-    return hermite_decomposition(m)[0]
+    return IntMatrix(a)
 
 
 def _solve_upper(h: IntMatrix, v: Sequence[int]) -> Optional[list[int]]:
@@ -164,33 +132,6 @@ def _solve_upper(h: IntMatrix, v: Sequence[int]) -> Optional[list[int]]:
             return None
         x[j] = quot
     return x
-
-
-def contains(m: IntMatrix, v: Sequence[int]) -> bool:
-    """Whether v lies in the lattice generated by the rows of m."""
-    if len(v) != m.n:
-        raise ValueError("dimension mismatch")
-    return _solve_upper(hermite_form(m), tuple(map(index, v))) is not None
-
-
-def solve_left(m: IntMatrix, v: Sequence[int]) -> Optional[Vec]:
-    """Integer witness x with x . m = v, or None when v is not in the lattice.
-
-    When a witness is returned it is re-multiplied against m as a self-check.
-    Entries must be integers (operator.index), as in IntMatrix.
-    """
-    if len(v) != m.n:
-        raise ValueError("dimension mismatch")
-    v = tuple(map(index, v))
-    h, u = hermite_decomposition(m)
-    y = _solve_upper(h, v)
-    if y is None:
-        return None
-    x = u.rows  # x = y . U
-    witness = tuple(sum(y[i] * x[i][j] for i in range(m.n)) for j in range(m.n))
-    if m.left_mul(witness) != v:
-        raise AssertionError("witness re-multiplication failed")
-    return witness
 
 
 def coset_count(outer: IntMatrix, inner: IntMatrix) -> int:

@@ -479,6 +479,24 @@ def test_sweep_mode_errors():
         verify_burst_correction(5, 3)
 
 
+def test_sweep_refuses_a_seed_without_samples(monkeypatch):
+    # refused before any sweep work: the interleaver is never built
+    def no_build(code):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(interleave, "build_interleaver", no_build)
+    for seed in (5, 0):
+        for mode in ({}, {"exhaustive": True}):
+            with pytest.raises(ValueError, match="--samples"):
+                verify_burst_correction(7, 3, seed=seed, **mode)
+
+
+def test_sampled_sweep_seed_defaults_to_zero():
+    s = verify_burst_correction(7, 3, samples=1000)
+    assert s.seed == 0
+    assert s == verify_burst_correction(7, 3, samples=1000, seed=0)
+
+
 @pytest.mark.parametrize("field", ["samples", "seed"])
 @pytest.mark.parametrize("bad", [2.5, "7"])
 def test_sweep_takes_only_integer_samples_and_seeds(field, bad):
@@ -505,7 +523,7 @@ def test_interleaved_params_frozen():
 
 def test_public_surface_leaves_the_oracles_to_the_tests():
     names = leetoric.__all__
-    assert names == sorted(names) and len(names) == 42
+    assert names == sorted(names) and len(names) == 39
     assert all(hasattr(leetoric, name) for name in names)
     moved = {k for k, v in vars(oracles).items() if getattr(v, "__module__", None) == "oracles"}
     assert len(moved) == 25 and not moved & set(names)
