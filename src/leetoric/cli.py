@@ -45,6 +45,12 @@ def _parse_seed(text: str) -> int:
     return seed
 
 
+def _with_q_n(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    parser.add_argument("--q", type=int, required=True)
+    parser.add_argument("--n", type=int, required=True)
+    return parser
+
+
 def _emit(cert) -> int:
     print(certificate_json(cert))
     return 0 if cert.passed else 1
@@ -55,9 +61,7 @@ def _cmd_chain(args: argparse.Namespace) -> int:
     n = dict(CERTIFIED)[q]
     matrix = scaling_matrix(q, n)
     rep = verify_chain(matrix, q)
-    cosets = None
-    if rep.inclusion_holds:
-        cosets = coset_count(matrix, IntMatrix.scalar(q, n))
+    cosets = coset_count(matrix, IntMatrix.scalar(q, n)) if rep.inclusion_holds else None
     passed = (
         rep.inclusion_holds
         and rep.strictly_nested
@@ -175,9 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     chain.add_argument("--q", type=int, choices=[q for q, _ in CERTIFIED], required=True)
     chain.set_defaults(func=_cmd_chain)
 
-    tiling = vsub.add_parser("tiling", help="certify the perfect Lee-sphere tiling")
-    tiling.add_argument("--q", type=int, required=True)
-    tiling.add_argument("--n", type=int, required=True)
+    tiling = _with_q_n(vsub.add_parser("tiling", help="certify the perfect Lee-sphere tiling"))
     tiling.add_argument(
         "--generators",
         type=_parse_generators,
@@ -186,21 +188,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tiling.set_defaults(func=_cmd_tiling)
 
-    stab = vsub.add_parser("stabilizers", help="check X/Z overlap parity")
-    stab.add_argument("--q", type=int, required=True)
-    stab.add_argument("--n", type=int, required=True)
+    stab = _with_q_n(vsub.add_parser("stabilizers", help="check X/Z overlap parity"))
     stab.set_defaults(func=_cmd_stabilizers)
 
-    mindist = sub.add_parser("mindist", help="verify the minimum Mannheim distance")
-    mindist.add_argument("--q", type=int, required=True)
-    mindist.add_argument("--n", type=int, required=True)
+    mindist = _with_q_n(sub.add_parser("mindist", help="verify the minimum Mannheim distance"))
     mindist.set_defaults(func=_cmd_mindist)
 
     inter = sub.add_parser("interleave", help="interleaver verification")
     isub = inter.add_subparsers(dest="claim", required=True)
-    iverify = isub.add_parser("verify", help="sweep Lee-sphere bursts")
-    iverify.add_argument("--q", type=int, required=True)
-    iverify.add_argument("--n", type=int, required=True)
+    iverify = _with_q_n(isub.add_parser("verify", help="sweep Lee-sphere bursts"))
     group = iverify.add_mutually_exclusive_group()
     group.add_argument("--exhaustive", action="store_true")
     group.add_argument("--samples", type=int, default=None)
@@ -211,9 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     tables.add_argument("--format", choices=FORMATS, required=True)
     tables.set_defaults(func=_cmd_tables)
 
-    decode = sub.add_parser("decode", help="decode a point of a certified code")
-    decode.add_argument("--q", type=int, required=True)
-    decode.add_argument("--n", type=int, required=True)
+    decode = _with_q_n(sub.add_parser("decode", help="decode a point of a certified code"))
     decode.add_argument("--point", type=_parse_vector, required=True)
     decode.set_defaults(func=_cmd_decode)
 

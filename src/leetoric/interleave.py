@@ -3,8 +3,8 @@
 The interleaver is a bijection between logical indices (cross-section j,
 block slot b, codeword position i) and physical slots (owner hypercube plus
 one of its owned faces).  Logical index (j, b, i) goes to the hypercube
-codeword_i + offset_j, row j of the torus table lee.sphere_shifts at the
-codeword's rank, so every hypercube carries qubits of a single
+codeword_i + offset_j: the code's placement, which lee computes once and
+only a perfect code has.  So every hypercube carries qubits of a single
 cross-section, namely the one matching its own offset label inside its
 Lee-sphere tile.  A burst confined to one tile therefore touches each
 cross-section at most once, which is exactly what the sweeps below certify.
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import product
 from operator import index
 from typing import TYPE_CHECKING, NamedTuple, Optional
@@ -66,9 +66,9 @@ class PhysicalSlot(NamedTuple):
 class InterleaverMap:
     """The interleaver of a perfect code, held as rank tuples.
 
-    hypercube_rank[j][i] is the row-major rank of the hypercube
-    codeword_i + offset_j, and block_of[r] is the constituent code block
-    j * ceil(|C| / q) + i div q that owns every slot of hypercube r.  Both
+    hypercube_rank is the code's placement, computed once in lee, and
+    block_of[r] is the constituent code block j * ceil(|C| / q) + i div q of
+    the hypercube r = hypercube_rank[j][i], which owns all its slots.  Both
     are tuples, so read-only; the forward and inverse dictionaries are built
     from them on first access.  Maps compare by identity.
     """
@@ -125,20 +125,18 @@ def build_interleaver(code: LeeCode) -> InterleaverMap:
     Codeword order is the enumeration order of the code (null codeword
     first), offsets follow the fixed sphere order, and the slot b selects
     among each hypercube's owned faces in axes-lexicographic order.  The
-    code is perfect exactly when the spheres hit every hypercube once.
+    hypercube ranks are the code's placement, which only a perfect code has.
     """
-    q, n = code.q, code.n
-    ranks = [reduce(lambda r, x: r * q + x % q, word, 0) for word in code.codewords]
-    hyper = tuple(tuple(map(row.__getitem__, ranks)) for row in sphere_shifts(q, n))
-    per = math.ceil(len(ranks) / q)  # blocks per cross-section
-    block = {r: j * per + i // q for j, row in enumerate(hyper) for i, r in enumerate(row)}
-    # |C|(2n+1) placements on q^n hypercubes, none of them twice, miss none
-    if len(block) != q**n or len(ranks) * len(hyper) != q**n:
+    hyper = code.placement
+    if hyper is None:
         raise ValueError("interleaver requires a perfect code")
-    return InterleaverMap(
-        q=q, n=n, alpha=qubits_per_vertex(n), hypercube_rank=hyper,
-        block_of=tuple(map(block.__getitem__, range(q**n))),
-    )
+    q, n = code.q, code.n
+    per = math.ceil(len(code.codewords) / q)  # blocks per cross-section
+    block_of = [0] * q**n
+    for j, row in enumerate(hyper):
+        for i, r in enumerate(row):
+            block_of[r] = j * per + i // q
+    return InterleaverMap(q, n, qubits_per_vertex(n), hyper, tuple(block_of))
 
 
 def all_burst_translates(q: int, n: int) -> tuple[Vec, ...]:

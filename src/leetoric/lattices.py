@@ -193,9 +193,8 @@ def verify_chain(m: IntMatrix, q: int) -> ChainReport:
     det_abs = abs(determinant(m))
     if det_abs == 0:
         raise ValueError("singular matrix")
-    basis = [tuple(q * int(i == j) for j in range(n)) for i in range(n)]
     h = hermite_form(m)
-    inclusion = all(_solve_upper(h, e) is not None for e in basis)
+    inclusion = all(_solve_upper(h, e) is not None for e in IntMatrix.scalar(q, n).rows)
     scaled: Optional[int] = None
     if inclusion:
         scaled, rem = divmod(q**n, det_abs)

@@ -6,12 +6,10 @@ sphere of radius 1 around each codeword is the cross shape {0, +/-e_i}, and
 perfection means those spheres tile Z_q^n with no gaps and no overlaps.
 
 For a radius-1 code "the spheres tile Z_q^n" and "every point decodes
-uniquely" are one fact, so one pass serves both: each code places every
-codeword + offset once, on first use, into its own point -> DecodeResult
-cover, unless |C|(2n+1) != q^n rules a tiling out before any is built.  The
-tiling check asks whether that cover exists, and a decode is one lookup that
-returns the cover's shared, immutable result; the offset index doubles as
-the point's cross-section label.  The cover lives on the code and goes with it.
+uniquely" are one fact, so each code computes one placement (LeeCode.placement)
+on first use.  The tiling check asks whether it exists, the interleaver takes
+its hypercube ranks from it, and a decode reads the rank-indexed cover derived
+from it, whose shared results carry the offset index as cross-section label.
 
 lee_sphere fixes the offset order once; sphere_shifts turns it into the
 torus table, a cached tuple of rows from which every engine takes neighbours.
@@ -34,12 +32,13 @@ MAX_POINTS = 2**20
 class LeeCode:
     """Group code in Z_q^n, enumerated once and immutable afterwards.
 
-    Codes with equal fields are equal and hash alike.
+    q and n are taken by operator.index; equal fields mean equal codes and hashes.
     """
 
     def __init__(
         self, q: int, n: int, generators: tuple[Vec, ...], codewords: tuple[Vec, ...]
     ) -> None:
+        q, n = index(q), index(n)
         if q < 2:
             raise ValueError("modulus must be at least 2")
         if n < 1:
@@ -64,20 +63,28 @@ class LeeCode:
         return f"LeeCode(q={self.q}, n={self.n}, generators={self.generators})"
 
     @cached_property
-    def _cover(self) -> Optional[dict[Vec, DecodeResult]]:
-        # Point -> DecodeResult, or None unless the spheres tile: |C|(2n+1)
-        # = q^n placements on q^n distinct points leave no overlap and no gap.
-        q = self.q
-        _require_points(q, self.n)
-        offsets = lee_sphere(self.n).offsets
-        if len(self.codewords) * len(offsets) != q**self.n:
-            return None
-        cover = {
-            tuple([(a + b) % q for a, b in zip(c, o)]): DecodeResult(c, j)
-            for c in self.codewords
-            for j, o in enumerate(offsets)
-        }
-        return cover if len(cover) == q**self.n else None
+    def placement(self) -> Optional[tuple[Vec, ...]]:
+        """Row j: the rank of codeword_i + offsets[j] for every i, or None
+        unless the spheres tile: |C|(2n+1) = q^n placements on distinct ranks."""
+        q, n = self.q, self.n
+        _require_points(q, n)
+        if len(self.codewords) * (2 * n + 1) != q**n:
+            return None  # checked first: at q = 2, n = 20 the table is 41 x 2^20
+        ranks = [_rank(c, q) for c in self.codewords]
+        rows = tuple(tuple(map(row.__getitem__, ranks)) for row in sphere_shifts(q, n))
+        hit = bytearray(q**n)
+        for r in chain.from_iterable(rows):
+            hit[r] = 1
+        return None if 0 in hit else rows
+
+    @cached_property
+    def _cover(self) -> tuple[DecodeResult, ...]:
+        # rank -> the DecodeResult placed there; only a tiling code has one
+        cover = [None] * self.q**self.n
+        for j, row in enumerate(self.placement):
+            for c, r in zip(self.codewords, row):
+                cover[r] = DecodeResult(c, j)
+        return tuple(cover)
 
 
 class LeeSphere(NamedTuple):
@@ -105,6 +112,14 @@ def mannheim_weight(v: Sequence[int], q: int) -> int:
     return sum(abs(symmetric_residue(x, q)) for x in v)
 
 
+def _rank(point: Sequence[int], q: int) -> int:
+    # row-major rank of the point reduced mod q, by Horner's rule
+    r = 0
+    for x in point:
+        r = r * q + index(x) % q
+    return r
+
+
 def _require_points(q: int, n: int) -> None:
     # q**n >= 2**n, so a long n is refused before its power is taken
     if (q >= 2 and n > MAX_POINTS.bit_length()) or q**n > MAX_POINTS:
@@ -120,7 +135,7 @@ def enumerate_codewords(generators: Sequence[Sequence[int]], q: int, n: int) -> 
     applied in the order given.  Entries, q and n must be integers
     (operator.index): a float or a string raises TypeError, not truncation.
     """
-    if not generators:
+    if len(generators) == 0:  # an array has no truth value
         raise ValueError("generators must be nonempty")
     q, n = index(q), index(n)
     if q < 2:
@@ -132,12 +147,8 @@ def enumerate_codewords(generators: Sequence[Sequence[int]], q: int, n: int) -> 
             raise ValueError("generator dimension mismatch")
         gens.append(tuple(index(x) % q for x in g))
     zero = (0,) * n
-    seen = {zero}
-    order = [zero]
-    head = 0
-    while head < len(order):
-        p = order[head]
-        head += 1
+    seen, order = {zero}, [zero]
+    for p in order:  # the queue: a list iterator sees what is appended to it
         for g in gens:
             s = tuple((a + b) % q for a, b in zip(p, g))
             if s not in seen:
@@ -186,7 +197,7 @@ def sphere_shifts(q: int, n: int) -> tuple[tuple[int, ...], ...]:
 
 def tiling_check(code: LeeCode) -> bool:
     """True iff the radius-1 spheres around the codewords tile Z_q^n exactly."""
-    return code._cover is not None
+    return code.placement is not None
 
 
 def decode_nearest(point: Sequence[int], code: LeeCode) -> DecodeResult:
@@ -195,12 +206,10 @@ def decode_nearest(point: Sequence[int], code: LeeCode) -> DecodeResult:
     Only defined for perfect codes; anything else raises, because two
     codewords would then compete for (or none would cover) some point.
     Coordinates must be integers (operator.index): a float or a string raises
-    TypeError.  All points of one sphere share one immutable result.
+    TypeError.  All representatives of a point share one immutable result.
     """
     if len(point) != code.n:
         raise ValueError("dimension mismatch")
-    cover = code._cover
-    if cover is None:
+    if code.placement is None:
         raise ValueError("decoding not unique")
-    q = code.q
-    return cover[tuple([index(x) % q for x in point])]
+    return code._cover[_rank(point, code.q)]

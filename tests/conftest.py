@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from leetoric import build_interleaver, certified_code
+from leetoric import build_interleaver, certified_code, enumerate_codewords
 
 
 @pytest.fixture(scope="session")
@@ -18,6 +18,12 @@ def code4():
 
 
 @pytest.fixture(scope="session")
+def code52():
+    """The (5,2) Golomb-Welch code {x : x_1 + 2 x_2 = 0 mod 5}, beyond the certified pair."""
+    return enumerate_codewords(((1, 2),), 5, 2)
+
+
+@pytest.fixture(scope="session")
 def imap3(code3):
     return build_interleaver(code3)
 
@@ -25,6 +31,11 @@ def imap3(code3):
 @pytest.fixture(scope="session")
 def imap4(code4):
     return build_interleaver(code4)
+
+
+@pytest.fixture(scope="session")
+def imap52(code52):
+    return build_interleaver(code52)
 
 
 @pytest.fixture

@@ -88,15 +88,15 @@ def test_block_of_matches_routed_blocks(imap3, imap4):
         assert len(pairs) == imap.q ** (imap.n - 1)
 
 
-def test_bijection_exhaustive(imap3, imap4):
-    for imap in (imap3, imap4):
+def test_bijection_exhaustive(imap3, imap4, imap52):
+    for imap in (imap3, imap4, imap52):
         assert len(imap.forward) == len(imap.inverse)
         for li, ps in imap.forward.items():
             assert imap.inverse[ps] == li
 
 
-def test_cross_section_homogeneity(imap3, code3, imap4, code4):
-    for imap, code in ((imap3, code3), (imap4, code4)):
+def test_cross_section_homogeneity(imap3, code3, imap4, code4, imap52, code52):
+    for imap, code in ((imap3, code3), (imap4, code4), (imap52, code52)):
         by_hypercube: dict[tuple, set[int]] = {}
         for ps, li in imap.inverse.items():
             by_hypercube.setdefault(ps.hypercube, set()).add(li.cross_section)

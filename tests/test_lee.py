@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from leetoric import (
+    LeeCode,
     certified_code,
     code_generators,
     decode_nearest,
@@ -22,6 +23,7 @@ from leetoric import (
     tiling_check,
 )
 from leetoric.instances import require_certified
+from leetoric import lee
 from leetoric.lee import sphere_shifts
 from oracles import position_rank, position_unrank
 
@@ -41,6 +43,13 @@ def all_pairs_lee_distances(code):
         d = (points[:, None, i] - words[None, :, i]) % q
         dist += np.minimum(d, q - d)
     return points, dist
+
+
+def shifted_code3():
+    """The certified (7,3) codewords stored unreduced, shifted by 7e_0 - 7e_1."""
+    code = certified_code(7, 3)
+    words = tuple((a + 7, b - 7, c) for a, b, c in code.codewords)
+    return LeeCode(7, 3, code.generators, words)
 
 
 def golomb_welch_label(point, n):
@@ -130,8 +139,9 @@ def test_enumeration_membership_example(code3):
 def test_enumeration_trivial_and_validation():
     trivial = enumerate_codewords(((0, 0, 0),), 7, 3)
     assert trivial.codewords == ((0, 0, 0),)
-    with pytest.raises(ValueError):
-        enumerate_codewords((), 7, 3)
+    for empty in ((), np.empty((0, 3), dtype=np.int64)):
+        with pytest.raises(ValueError, match="nonempty"):
+            enumerate_codewords(empty, 7, 3)
     with pytest.raises(ValueError):
         enumerate_codewords(((1, 2),), 7, 3)
 
@@ -211,9 +221,13 @@ def test_sphere_shifts_is_one_cached_table_per_torus():
         sphere_shifts(2, 21)
 
 
-def test_tiling_certified_codes(code3, code4):
+def test_tiling_certified_codes(code3, code4, code52):
     assert tiling_check(code3)
     assert tiling_check(code4)
+    assert tiling_check(code52)
+    # placement ranks reduce the stored entries mod q
+    assert tiling_check(shifted_code3())
+    assert shifted_code3().placement == code3.placement
 
 
 def test_tiling_rejects_overlapping_code():
@@ -250,8 +264,8 @@ def test_decode_sphere_roundtrip(code3, code4):
                 assert res.codeword == c and res.offset_index == j
 
 
-def test_decode_matches_brute_force_nearest(code3, code4):
-    for code in (code3, code4):
+def test_decode_matches_brute_force_nearest(code3, code4, code52):
+    for code in (code3, code4, code52, shifted_code3()):
         points, dist = all_pairs_lee_distances(code)
         within = dist <= 1
         # perfection: exactly one codeword lies within distance 1 of each point
@@ -259,6 +273,7 @@ def test_decode_matches_brute_force_nearest(code3, code4):
         nearest = within.argmax(axis=1)
         for point, k in zip(points.tolist(), nearest.tolist()):
             res = decode_nearest(point, code)
+            # the stored codeword, unreduced if it was stored so
             assert res.codeword == code.codewords[k]
             assert res.offset_index == golomb_welch_label(point, code.n)
 
@@ -276,11 +291,14 @@ def test_lee_code_equality_is_by_value():
     assert fresh is not certified_code(7, 3)
     assert fresh == certified_code(7, 3)
     assert hash(fresh) == hash(certified_code(7, 3))
+    numpy_sized = LeeCode(np.int64(7), np.int64(3), fresh.generators, fresh.codewords)
+    assert type(numpy_sized.q) is int and type(numpy_sized.n) is int
+    assert numpy_sized == fresh and hash(numpy_sized) == hash(fresh)
 
 
 def test_lee_code_is_immutable_and_a_value():
     code = enumerate_codewords(code_generators(7, 3), 7, 3)
-    for name in ("q", "codewords", "_cover"):
+    for name in ("q", "codewords", "placement", "_cover"):
         with pytest.raises(AttributeError):
             setattr(code, name, None)
         with pytest.raises(AttributeError):
@@ -363,12 +381,17 @@ def test_enumeration_refuses_non_integer_generators():
         enumerate_codewords(((0, "1", 4), (1, 0, 2)), 7, 3)
     gens = [tuple(np.int64(x) for x in g) for g in code_generators(7, 3)]
     assert enumerate_codewords(gens, 7, 3) == certified_code(7, 3)
+    # a 2-D array has no truth value, only a length
+    rows = np.array(code_generators(7, 3))
+    assert enumerate_codewords(rows, 7, 3) == certified_code(7, 3)
 
 
 @pytest.mark.parametrize("q,n", [(7.0, 3), (7, 3.0), ("7", 3), (np.float64(7), 3)])
-def test_modulus_and_dimension_must_be_integers(q, n):
+def test_modulus_and_dimension_must_be_integers(q, n, code3):
     with pytest.raises(TypeError):
         enumerate_codewords(code_generators(7, 3), q, n)
+    with pytest.raises(TypeError):
+        LeeCode(q, n, code3.generators, code3.codewords)
     with pytest.raises(TypeError):
         require_certified(q, n)
     with pytest.raises(TypeError):
@@ -391,13 +414,21 @@ def test_float_modulus_leaves_the_certified_cache_clean(code3):
     assert type(fresh(np.int64(9), 4).q) is int
 
 
-def test_wrong_size_code_is_rejected_before_its_cover():
+def test_wrong_size_code_is_rejected_before_its_cover(monkeypatch):
+    def no_table(q, n):
+        raise AssertionError(f"the {q}^{n} torus table was read")
+
+    monkeypatch.setattr(lee, "sphere_shifts", no_table)
     # all 343 points as codewords: 343 * 7 placements cannot tile 343 points
     code = enumerate_codewords(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 7, 3)
     assert len(code.codewords) == 343
     assert not tiling_check(code)
     with pytest.raises(ValueError, match="decoding not unique"):
         decode_nearest((0, 0, 1), code)
+    # 2 * 41 placements on 2^20 points: the 41 x 2^20 table is never built
+    wide = enumerate_codewords(((1,) * 20,), 2, 20)
+    assert len(wide.codewords) == 2
+    assert not tiling_check(wide) and wide.placement is None
 
 
 def test_decode_nonperfect_raises():
