@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import cached_property
-from itertools import product
+from itertools import chain, product, repeat
 from operator import index
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
@@ -134,8 +134,9 @@ def build_interleaver(code: LeeCode) -> InterleaverMap:
     per = math.ceil(len(code.codewords) / q)  # blocks per cross-section
     block_of = [0] * q**n
     for j, row in enumerate(hyper):
-        for i, r in enumerate(row):
-            block_of[r] = j * per + i // q
+        blocks = chain.from_iterable(map(repeat, range(j * per, (j + 1) * per), repeat(q)))
+        for r, b in zip(row, blocks):
+            block_of[r] = b
     return InterleaverMap(q, n, qubits_per_vertex(n), hyper, tuple(block_of))
 
 

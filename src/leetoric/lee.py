@@ -18,8 +18,8 @@ torus table, a cached tuple of rows from which every engine takes neighbours.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import chain
-from operator import index
+from itertools import chain, repeat
+from operator import add, index, mod
 from typing import NamedTuple, Optional, Sequence
 
 Vec = tuple[int, ...]
@@ -43,6 +43,9 @@ class LeeCode:
             raise ValueError("modulus must be at least 2")
         if n < 1:
             raise ValueError("dimension must be positive")
+        if set(map(len, codewords)) - {n}:  # one C-level pass over the lengths
+            word = next(c for c in codewords if len(c) != n)
+            raise ValueError(f"codeword {tuple(word)} has length {len(word)}, not {n}")
         vars(self).update(q=q, n=n, generators=generators, codewords=codewords)
 
     def __setattr__(self, name: str, *value) -> None:
@@ -82,8 +85,9 @@ class LeeCode:
         # rank -> the DecodeResult placed there; only a tiling code has one
         cover = [None] * self.q**self.n
         for j, row in enumerate(self.placement):
-            for c, r in zip(self.codewords, row):
-                cover[r] = DecodeResult(c, j)
+            made = map(tuple.__new__, repeat(DecodeResult), zip(self.codewords, repeat(j)))
+            for r, result in zip(row, made):
+                cover[r] = result
         return tuple(cover)
 
 
@@ -122,7 +126,9 @@ def _rank(point: Sequence[int], q: int) -> int:
 
 def _require_points(q: int, n: int) -> None:
     # q**n >= 2**n, so a long n is refused before its power is taken
-    if (q >= 2 and n > MAX_POINTS.bit_length()) or q**n > MAX_POINTS:
+    if q < 2:
+        raise ValueError("modulus must be at least 2")
+    if n > MAX_POINTS.bit_length() or q**n > MAX_POINTS:
         raise ValueError(f"{q}^{n} points is over the limit of {MAX_POINTS}")
 
 
@@ -138,19 +144,17 @@ def enumerate_codewords(generators: Sequence[Sequence[int]], q: int, n: int) -> 
     if len(generators) == 0:  # an array has no truth value
         raise ValueError("generators must be nonempty")
     q, n = index(q), index(n)
-    if q < 2:
-        raise ValueError("modulus must be at least 2")
     _require_points(q, n)
     gens = []
     for g in generators:
         if len(g) != n:
             raise ValueError("generator dimension mismatch")
         gens.append(tuple(index(x) % q for x in g))
-    zero = (0,) * n
+    zero, qs = (0,) * n, (q,) * n
     seen, order = {zero}, [zero]
     for p in order:  # the queue: a list iterator sees what is appended to it
         for g in gens:
-            s = tuple((a + b) % q for a, b in zip(p, g))
+            s = tuple(map(mod, map(add, p, g), qs))
             if s not in seen:
                 seen.add(s)
                 order.append(s)

@@ -10,12 +10,7 @@ in dB; the renderings here reproduce the reference digits as printed.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-from datetime import datetime, timezone
-from decimal import Decimal
-from fractions import Fraction
+import json  # csv, decimal, fractions and datetime load where used (annotations are strings)
 from typing import NamedTuple, Optional
 
 from ._version import __version__
@@ -63,6 +58,7 @@ class VerificationCertificate(NamedTuple):
 
 
 def _round_half_even(value: Fraction, places: int) -> Decimal:
+    from decimal import Decimal
     scaled = value * 10**places
     quot, rem = divmod(scaled.numerator, scaled.denominator)
     twice = 2 * rem
@@ -102,6 +98,8 @@ def _trim_zeros(rendered: str) -> str:
 
 def rate_gain(p: CodeParams) -> RateGain:
     """Exact R = k/n and G = R(t+1), with the printed digit conventions."""
+    from decimal import Decimal
+    from fractions import Fraction
     rate = Fraction(p.k, p.n_code)
     gain = rate * (p.t + 1)
     rate_printed = render_rate(rate)
@@ -175,6 +173,8 @@ def emit_tables(fmt: str) -> str:
         out.append("customary for coding gain is ambiguous here and not applied.")
         return "\n".join(out) + "\n"
     if fmt == "csv":
+        import csv
+        import io
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(_CSV_FIELDS)
@@ -193,6 +193,9 @@ def parse_tables(text: str, fmt: str) -> tuple[TableRow, ...]:
     Every record must carry exactly the emitted fields; a missing, extra or
     unparsable one raises ValueError.
     """
+    import csv
+    import io
+    from fractions import Fraction
     if fmt == "csv":
         reader = csv.reader(io.StringIO(text))
         if tuple(next(reader, ())) != _CSV_FIELDS:
@@ -230,6 +233,7 @@ def parse_tables(text: str, fmt: str) -> tuple[TableRow, ...]:
 def make_certificate(
     claim: str, inputs: dict, passed: bool, counts: Optional[dict] = None
 ) -> VerificationCertificate:
+    from datetime import datetime, timezone
     return VerificationCertificate(
         claim=claim,
         inputs=inputs,

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import chain, combinations, product
 from math import comb
-from operator import index
+from operator import index, itemgetter
 from typing import NamedTuple, Optional
 
 from .instances import require_certified
@@ -105,7 +105,7 @@ def boundary_columns(q: int, n: int, d: int) -> tuple[tuple[tuple[int, ...], ...
     supports; d = k gives each qubit cell's 2k facets, the X generators.
     """
     cells, facets = q**n, axes_tuples(n, d - 1)
-    ids = list(range(len(facets) * cells))  # one int object per facet
+    ids = tuple(range(len(facets) * cells))  # one int object per facet
     shifts = sphere_shifts(q, n)  # row 2a+1: the +e_a neighbour
     blocks = []
     for axes in axes_tuples(n, d):
@@ -113,7 +113,8 @@ def boundary_columns(q: int, n: int, d: int) -> tuple[tuple[tuple[int, ...], ...
         for a in axes:
             lo = facets.index(tuple(x for x in axes if x != a)) * cells
             block = ids[lo:lo + cells]
-            cols += [tuple(block), tuple(map(block.__getitem__, shifts[2 * a + 1]))]
+            # sphere_shifts refuses q < 2, so itemgetter gets >= 2 ranks and returns a tuple
+            cols += [block, itemgetter(*shifts[2 * a + 1])(block)]
         blocks.append(tuple(cols))
     return tuple(blocks)
 

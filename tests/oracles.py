@@ -7,7 +7,8 @@ overlap count of the commutation check (overlap_multiplicities) and the
 hit-cell mask quotient of the exhaustive burst sweep (mask_quotient_sweep).
 cell_facets builds the facets of every d-cell one cell at a time, and
 support_rows reads the stabilizers off toric.boundary_columns: Z supports
-are its (k+1)-cell rows, X supports its qubit-cell facets transposed."""
+are its (k+1)-cell rows, X supports its qubit-cell facets transposed.
+bfs_codewords is the codeword closure written one coordinate at a time."""
 
 from __future__ import annotations
 
@@ -340,3 +341,18 @@ def overlap_multiplicities(
         starts = np.flatnonzero(np.diff(inc, prepend=-1))
         z = b * q**n + starts // inc.shape[1]
         yield z, inc.ravel()[starts], np.diff(starts, append=inc.size)
+
+
+def bfs_codewords(generators: Sequence[Sequence[int]], q: int, n: int) -> tuple[Vec, ...]:
+    """The additive closure mod q in breadth-first order from 0, generators
+    applied in the order given, each neighbour one generator expression."""
+    gens = [tuple(x % q for x in g) for g in generators]
+    zero = (0,) * n
+    seen, order = {zero}, [zero]
+    for p in order:
+        for g in gens:
+            s = tuple((a + b) % q for a, b in zip(p, g))
+            if s not in seen:
+                seen.add(s)
+                order.append(s)
+    return tuple(order)

@@ -277,7 +277,9 @@ import leetoric, leetoric.cli
 def state(code):
     loaded = set(sys.modules) | {m.split('.')[0] for m in sys.modules}
     heavy = loaded & {'numpy', 'scipy', 'importlib.metadata', 'dataclasses', 'inspect'}
-    return [code, sorted(heavy), sorted(m for m in loaded if m.startswith('leetoric.'))]
+    deferred = loaded & {'csv', 'decimal', 'fractions', 'datetime'}
+    return [code, sorted(heavy), sorted(m for m in loaded if m.startswith('leetoric.')),
+            sorted(deferred)]
 
 out = [state(None)]
 for argv in json.loads(sys.argv[1]):
@@ -317,14 +319,32 @@ def run_boundary_probe(commands: list) -> list:
     return json.loads(proc.stdout)
 
 
+def _deferred_after(argv: list, before: list) -> list:
+    # the table-only and timestamp-only stdlib a command adds: a certificate
+    # needs datetime, the tables need decimal and fractions, and csv for csv
+    added = {"datetime"} if argv[0] != "tables" else {"decimal", "fractions"}
+    return sorted({*before, *added, *(["csv"] if "csv" in argv else [])})
+
+
 def test_import_pulls_in_no_scipy_or_dist_metadata():
     # numpy (and with it inspect) is loaded only by the sampled sweep; no
-    # import or command loads dataclasses.
+    # import or command loads dataclasses.  `import leetoric` loads none of
+    # csv, decimal, fractions or datetime; each loads with the first command
+    # that prints what needs it.
     after_import, *runs = run_boundary_probe([argv for argv, _ in NUMPY_FREE_COMMANDS])
-    assert after_import == [None, [], SUBMODULES]
-    assert runs == [[code, [], SUBMODULES] for _, code in NUMPY_FREE_COMMANDS]
+    assert after_import == [None, [], SUBMODULES, []]
+    deferred, want = [], []
+    for argv, code in NUMPY_FREE_COMMANDS:
+        deferred = _deferred_after(argv, deferred)
+        want.append([code, [], SUBMODULES, deferred])
+    assert runs == want
+    assert deferred == ["csv", "datetime", "decimal", "fractions"]
+    tables = ["tables", "--format", "csv"]
+    assert run_boundary_probe([tables])[1] == [0, [], SUBMODULES, ["csv", "decimal", "fractions"]]
     for argv in NUMPY_COMMANDS:
-        assert run_boundary_probe([argv])[1] == [0, ["inspect", "numpy"], SUBMODULES], argv
+        # numpy's own import loads datetime
+        want = [0, ["inspect", "numpy"], SUBMODULES, ["datetime"]]
+        assert run_boundary_probe([argv])[1] == want, argv
 
 
 # Runs each command given as JSON in argv[1] in one interpreter where

@@ -526,5 +526,5 @@ def test_public_surface_leaves_the_oracles_to_the_tests():
     assert names == sorted(names) and len(names) == 39
     assert all(hasattr(leetoric, name) for name in names)
     moved = {k for k, v in vars(oracles).items() if getattr(v, "__module__", None) == "oracles"}
-    assert len(moved) == 25 and not moved & set(names)
+    assert len(moved) == 26 and not moved & set(names)
     assert not [k for k in moved for m in (leetoric.toric, interleave) if hasattr(m, k)]

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from leetoric import (
+    CERTIFIED,
     LeeCode,
     certified_code,
     code_generators,
@@ -25,7 +26,8 @@ from leetoric import (
 from leetoric.instances import require_certified
 from leetoric import lee
 from leetoric.lee import sphere_shifts
-from oracles import position_rank, position_unrank
+from leetoric.toric import boundary_columns
+from oracles import bfs_codewords, position_rank, position_unrank
 
 
 def lee_weight_oracle(v, q):
@@ -136,6 +138,45 @@ def test_enumeration_membership_example(code3):
     assert (0, 2, 1) in set(code3.codewords)
 
 
+def _random_generator_sets():
+    # unreduced entries, some negative, one to three generators per set
+    rng = random.Random(18)
+    for q, n in [(7, 3)] * 10 + [(9, 4)] * 10:
+        count = rng.randint(1, 3)
+        gens = tuple(tuple(rng.randint(-q, 2 * q) for _ in range(n)) for _ in range(count))
+        yield q, n, gens
+
+
+ORDER_CASES = [
+    *((q, n, code_generators(q, n)) for q, n in CERTIFIED),
+    (5, 2, ((1, 2),)),
+    (7, 3, ((1, 1, 0), (0, 1, 1))),  # the README's failing set
+    *_random_generator_sets(),
+]
+
+
+@pytest.mark.parametrize("q,n,generators", ORDER_CASES)
+def test_enumeration_order_matches_the_bfs_oracle(q, n, generators):
+    # the order fixes the interleaver blocks, so it is checked word by word
+    code = enumerate_codewords(generators, q, n)
+    assert code.codewords == bfs_codewords(generators, q, n)
+    assert all(type(x) is int for c in code.codewords for x in c)
+
+
+def test_lee_code_refuses_codewords_of_another_length(code52):
+    # padded words used to rank past the table, cut ones to read False
+    padded = tuple(c + (0,) for c in code52.codewords)
+    with pytest.raises(ValueError, match=r"codeword \(0, 0, 0\) has length 3, not 2"):
+        LeeCode(5, 2, code52.generators, padded)
+    cut = tuple(c[:1] for c in code52.codewords)
+    with pytest.raises(ValueError, match=r"codeword \(0,\) has length 1, not 2"):
+        LeeCode(5, 2, code52.generators, cut)
+    one_bad = code52.codewords[:3] + ((1, 2, 3),) + code52.codewords[4:]
+    with pytest.raises(ValueError, match=r"codeword \(1, 2, 3\) has length 3"):
+        LeeCode(5, 2, code52.generators, one_bad)
+    assert tiling_check(LeeCode(5, 2, code52.generators, code52.codewords))
+
+
 def test_enumeration_trivial_and_validation():
     trivial = enumerate_codewords(((0, 0, 0),), 7, 3)
     assert trivial.codewords == ((0, 0, 0),)
@@ -219,6 +260,16 @@ def test_sphere_shifts_is_one_cached_table_per_torus():
             sphere_shifts(q, n)
     with pytest.raises(ValueError, match="over the limit"):
         sphere_shifts(2, 21)
+
+
+def test_sphere_shifts_refuses_a_modulus_below_two():
+    # so every row has q^n >= 2 ranks: boundary_columns gathers them with
+    # itemgetter, which given one index returns a bare item, not a tuple
+    for q in (1, 0, -3):
+        with pytest.raises(ValueError, match="at least 2"):
+            sphere_shifts(q, 3)
+    with pytest.raises(ValueError, match="at least 2"):
+        boundary_columns(1, 3, 2)
 
 
 def test_tiling_certified_codes(code3, code4, code52):
@@ -331,12 +382,22 @@ def test_decode_point_reduced_mod_q(code3):
     assert decode_nearest((8, 8, 8), code3) == decode_nearest((1, 1, 1), code3)
 
 
-def test_decode_returns_the_shared_result(code3):
+def test_decode_returns_the_shared_result(code3, code4, code52):
     res = decode_nearest((8, 8, 8), code3)
     assert res is decode_nearest((1, 1, 1), code3)
     assert res == ((2, 1, 1), 2)
     codeword, label = res
     assert (codeword, label) == (res.codeword, res.offset_index)
+    # every representative of a point gets the point's one result object
+    rng = random.Random(5)
+    for code in (code3, code4, code52):
+        q, n = code.q, code.n
+        for point in product(range(q), repeat=n):
+            res = decode_nearest(point, code)
+            assert type(res) is lee.DecodeResult
+            lift = tuple(x + q * rng.randint(-2, 2) for x in point)
+            assert decode_nearest(lift, code) is res
+        assert len(set(map(id, code._cover))) == q**n  # one object per point
 
 
 def test_decode_result_is_immutable(code3):
