@@ -2,14 +2,16 @@
 
 Every verification subcommand prints a JSON certificate to standard output
 and exits 0 when the claim holds, 1 when a verification fails, and 2 on
-usage or domain errors (diagnostics go to standard error).
+usage or domain errors (diagnostics go to standard error).  COMMANDS is the
+whole grammar: the command words, then options as `--opt value` or
+`--opt=value`; -h or --help prints the usage it implies.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
-from typing import Optional, Sequence
+from itertools import takewhile
+from typing import Iterator, Optional, Sequence
 
 from .instances import CERTIFIED, certified_code, code_generators, scaling_matrix
 from .interleave import verify_burst_correction
@@ -23,7 +25,7 @@ def _parse_vector(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated integer vector: {text!r}")
+        raise ValueError(f"not a comma-separated integer vector: {text!r}") from None
 
 
 def _parse_generators(text: str) -> tuple[tuple[int, ...], ...]:
@@ -32,23 +34,25 @@ def _parse_generators(text: str) -> tuple[tuple[int, ...], ...]:
             tuple(int(x) for x in chunk.split(",")) for chunk in text.split(";")
         )
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a semicolon-separated vector list: {text!r}")
+        raise ValueError(f"not a semicolon-separated vector list: {text!r}") from None
 
 
 def _parse_seed(text: str) -> int:
     try:
         seed = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer seed: {text!r}")
+        raise ValueError(f"not an integer seed: {text!r}") from None
     if not 0 <= seed < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
     return seed
 
 
-def _with_q_n(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    parser.add_argument("--q", type=int, required=True)
-    parser.add_argument("--n", type=int, required=True)
-    return parser
+def _one_of(choices: Sequence, convert=str):
+    def parse(text: str):
+        if convert(text) in choices:
+            return convert(text)
+        raise ValueError(f"invalid choice {text!r} (choose from {', '.join(map(str, choices))})")
+    return parse
 
 
 def _emit(cert) -> int:
@@ -56,8 +60,8 @@ def _emit(cert) -> int:
     return 0 if cert.passed else 1
 
 
-def _cmd_chain(args: argparse.Namespace) -> int:
-    q = args.q
+def _cmd_chain(q: int) -> int:
+    """certify the nested lattice chain"""
     n = dict(CERTIFIED)[q]
     matrix = scaling_matrix(q, n)
     rep = verify_chain(matrix, q)
@@ -82,58 +86,57 @@ def _cmd_chain(args: argparse.Namespace) -> int:
     return _emit(cert)
 
 
-def _code_for(args: argparse.Namespace):
-    gens = getattr(args, "generators", None)
-    if gens is None:
-        return certified_code(args.q, args.n), code_generators(args.q, args.n)
-    return enumerate_codewords(gens, args.q, args.n), gens
-
-
-def _cmd_tiling(args: argparse.Namespace) -> int:
-    code, gens = _code_for(args)
+def _cmd_tiling(q: int, n: int, generators=None) -> int:
+    """certify the perfect Lee-sphere tiling (--generators e.g. '0,1,4;1,0,2')"""
+    if generators is None:
+        code, generators = certified_code(q, n), code_generators(q, n)
+    else:
+        code = enumerate_codewords(generators, q, n)
     ok = tiling_check(code)
     cert = make_certificate(
         claim="perfect-tiling",
-        inputs={"q": args.q, "n": args.n, "generators": [list(g) for g in gens]},
+        inputs={"q": q, "n": n, "generators": [list(g) for g in generators]},
         passed=ok,
-        counts={"codewords": len(code.codewords), "points": args.q**args.n},
+        counts={"codewords": len(code.codewords), "points": q**n},
     )
     return _emit(cert)
 
 
-def _cmd_mindist(args: argparse.Namespace) -> int:
-    code = certified_code(args.q, args.n)
+def _cmd_mindist(q: int, n: int) -> int:
+    """verify the minimum Mannheim distance"""
+    code = certified_code(q, n)
     d = minimum_distance(code)
-    expected = new_code_params(args.q, args.n).d
+    expected = new_code_params(q, n).d
     cert = make_certificate(
         claim="minimum-distance",
-        inputs={"q": args.q, "n": args.n},
+        inputs={"q": q, "n": n},
         passed=d == expected,
         counts={"distance": d, "expected": expected},
     )
     return _emit(cert)
 
 
-def _cmd_stabilizers(args: argparse.Namespace) -> int:
-    ok = commutation_check(args.q, args.n)
+def _cmd_stabilizers(q: int, n: int) -> int:
+    """check X/Z overlap parity"""
+    ok = commutation_check(q, n)
     cert = make_certificate(
         claim="stabilizer-commutation",
-        inputs={"q": args.q, "n": args.n},
+        inputs={"q": q, "n": n},
         passed=ok,
-        counts=stabilizer_counts(args.q, args.n),
+        counts=stabilizer_counts(q, n),
     )
     return _emit(cert)
 
 
-def _cmd_interleave_verify(args: argparse.Namespace) -> int:
-    # --exhaustive names the default mode; argparse keeps it apart from --samples
-    summary = verify_burst_correction(args.q, args.n, samples=args.samples, seed=args.seed)
+def _cmd_interleave_verify(q: int, n: int, exhaustive=None, samples=None, seed=None) -> int:
+    """sweep Lee-sphere bursts, exhaustively unless --samples is given"""
+    summary = verify_burst_correction(q, n, exhaustive=exhaustive, samples=samples, seed=seed)
     passed = summary.failures == 0 and summary.max_block_errors <= 1
     cert = make_certificate(
         claim="burst-correction",
         inputs={
-            "q": args.q,
-            "n": args.n,
+            "q": q,
+            "n": n,
             "mode": summary.mode,
             "samples": summary.samples,
             "seed": summary.seed,
@@ -144,17 +147,19 @@ def _cmd_interleave_verify(args: argparse.Namespace) -> int:
     return _emit(cert)
 
 
-def _cmd_tables(args: argparse.Namespace) -> int:
-    sys.stdout.write(emit_tables(args.format))
+def _cmd_tables(format: str) -> int:
+    """emit the rate/gain tables"""
+    sys.stdout.write(emit_tables(format))
     return 0
 
 
-def _cmd_decode(args: argparse.Namespace) -> int:
-    code = certified_code(args.q, args.n)
-    res = decode_nearest(args.point, code)
+def _cmd_decode(q: int, n: int, point: tuple[int, ...]) -> int:
+    """decode a point of a certified code"""
+    code = certified_code(q, n)
+    res = decode_nearest(point, code)
     cert = make_certificate(
         claim="decode",
-        inputs={"q": args.q, "n": args.n, "point": list(args.point)},
+        inputs={"q": q, "n": n, "point": list(point)},
         passed=True,
         counts={
             "codeword": list(res.codeword),
@@ -165,63 +170,71 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     return _emit(cert)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="leetoric",
-        description="Verify toric quantum codes built from perfect Lee-sphere codes.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_Q_N = {"--q": int, "--n": int}
 
-    verify = sub.add_parser("verify", help="run a verification claim")
-    vsub = verify.add_subparsers(dest="claim", required=True)
+# command words -> (handler, option -> converter or None for a bare flag,
+# required options); each option reaches the handler as a keyword
+COMMANDS = {
+    ("verify", "chain"): (_cmd_chain, {"--q": _one_of([q for q, _ in CERTIFIED], int)}, ("--q",)),
+    ("verify", "tiling"): (_cmd_tiling, {**_Q_N, "--generators": _parse_generators}, ("--q", "--n")),
+    ("verify", "stabilizers"): (_cmd_stabilizers, _Q_N, ("--q", "--n")),
+    ("mindist",): (_cmd_mindist, _Q_N, ("--q", "--n")),
+    ("interleave", "verify"): (
+        _cmd_interleave_verify,
+        {**_Q_N, "--exhaustive": None, "--samples": int, "--seed": _parse_seed},
+        ("--q", "--n"),
+    ),
+    ("tables",): (_cmd_tables, {"--format": _one_of(FORMATS)}, ("--format",)),
+    ("decode",): (_cmd_decode, {**_Q_N, "--point": _parse_vector}, ("--q", "--n", "--point")),
+}
 
-    chain = vsub.add_parser("chain", help="certify the nested lattice chain")
-    chain.add_argument("--q", type=int, choices=[q for q, _ in CERTIFIED], required=True)
-    chain.set_defaults(func=_cmd_chain)
 
-    tiling = _with_q_n(vsub.add_parser("tiling", help="certify the perfect Lee-sphere tiling"))
-    tiling.add_argument(
-        "--generators",
-        type=_parse_generators,
-        default=None,
-        help="override generator vectors, e.g. '0,1,4;1,0,2'",
-    )
-    tiling.set_defaults(func=_cmd_tiling)
+def _usage(words: tuple) -> str:
+    lines = ["usage: leetoric COMMAND [--option value | --option=value ...]"]
+    for key, (handler, options, required) in COMMANDS.items():
+        if key[: len(words)] == words:
+            spec = (o if options[o] is None else f"{o} {o[2:].upper()}" for o in options)
+            spec = (s if s.split()[0] in required else f"[{s}]" for s in spec)
+            lines += [f"  leetoric {' '.join((*key, *spec))}", f"      {handler.__doc__}"]
+    if len(lines) == 1:
+        raise ValueError(f"unknown command {' '.join(words)!r}; see leetoric --help")
+    return "\n".join(lines)
 
-    stab = _with_q_n(vsub.add_parser("stabilizers", help="check X/Z overlap parity"))
-    stab.set_defaults(func=_cmd_stabilizers)
 
-    mindist = _with_q_n(sub.add_parser("mindist", help="verify the minimum Mannheim distance"))
-    mindist.set_defaults(func=_cmd_mindist)
-
-    inter = sub.add_parser("interleave", help="interleaver verification")
-    isub = inter.add_subparsers(dest="claim", required=True)
-    iverify = _with_q_n(isub.add_parser("verify", help="sweep Lee-sphere bursts"))
-    group = iverify.add_mutually_exclusive_group()
-    group.add_argument("--exhaustive", action="store_true")
-    group.add_argument("--samples", type=int, default=None)
-    iverify.add_argument("--seed", type=_parse_seed, default=None)
-    iverify.set_defaults(func=_cmd_interleave_verify)
-
-    tables = sub.add_parser("tables", help="emit the rate/gain tables")
-    tables.add_argument("--format", choices=FORMATS, required=True)
-    tables.set_defaults(func=_cmd_tables)
-
-    decode = _with_q_n(sub.add_parser("decode", help="decode a point of a certified code"))
-    decode.add_argument("--point", type=_parse_vector, required=True)
-    decode.set_defaults(func=_cmd_decode)
-
-    return parser
+def _parse(words: tuple, rest: Iterator[str]) -> tuple:
+    """The handler COMMANDS gives for words, and the keywords the options in rest name."""
+    if words not in COMMANDS:
+        raise ValueError(f"unknown command {' '.join(words)!r}; see leetoric --help")
+    handler, options, required = COMMANDS[words]
+    kwargs = {}
+    for arg in rest:
+        opt, eq, value = arg.partition("=")
+        if opt not in options or (eq and options[opt] is None):
+            raise ValueError(f"unrecognized argument {arg!r}")
+        if options[opt] is None:
+            kwargs[opt[2:]] = True
+            continue
+        if not eq and (value := next(rest, None)) is None:
+            raise ValueError(f"{opt} expects a value")
+        try:
+            kwargs[opt[2:]] = options[opt](value)
+        except ValueError as exc:
+            raise ValueError(f"{opt}: {exc}") from None
+    missing = [opt for opt in required if opt[2:] not in kwargs]
+    if missing:
+        raise ValueError(f"missing required {', '.join(missing)}")
+    return handler, kwargs
 
 
 def run_cli(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    words = tuple(takewhile(lambda arg: not arg.startswith("-"), argv))
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    try:
-        return args.func(args)
+        if "-h" in argv or "--help" in argv:
+            print(_usage(words))
+            return 0
+        handler, kwargs = _parse(words, iter(argv[len(words):]))
+        return handler(**kwargs)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

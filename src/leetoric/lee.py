@@ -75,10 +75,7 @@ class LeeCode:
             return None  # checked first: at q = 2, n = 20 the table is 41 x 2^20
         ranks = [_rank(c, q) for c in self.codewords]
         rows = tuple(tuple(map(row.__getitem__, ranks)) for row in sphere_shifts(q, n))
-        hit = bytearray(q**n)
-        for r in chain.from_iterable(rows):
-            hit[r] = 1
-        return None if 0 in hit else rows
+        return rows if len(set(chain.from_iterable(rows))) == q**n else None
 
     @cached_property
     def _cover(self) -> tuple[DecodeResult, ...]:

@@ -12,7 +12,7 @@ import pytest
 
 import leetoric
 from leetoric import emit_tables, interleave, lattices, lee, toric
-from leetoric.cli import main, run_cli
+from leetoric.cli import COMMANDS, main, run_cli
 from leetoric.report import FORMATS
 
 SRC = str(Path(leetoric.__file__).resolve().parents[1])
@@ -250,6 +250,60 @@ def test_help_exits_zero():
     assert run_cli(["--help"]) == 0
 
 
+def test_point_value_forms_decode_alike(capsys):
+    # a value may follow its option as the next word even when it starts with
+    # a minus sign, or be joined to it by "="
+    base = ["decode", "--q", "7", "--n", "3"]
+    joined = run_and_parse(capsys, [*base, "--point=-1,-2,-3"])
+    spaced = run_and_parse(capsys, [*base, "--point", "-1,-2,-3"])
+    assert joined[0] == spaced[0] == 0
+    assert joined[1]["inputs"] == spaced[1]["inputs"]
+    assert joined[1]["counts"] == spaced[1]["counts"] == {
+        "codeword": [6, 5, 4], "offset_index": 0, "cross_section": 0,
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mindist", "--q", "7", "--n", "3", "--bogus", "1"],
+        ["mindist", "--q", "7", "--n", "3", "extra"],
+        ["mindist", "--q", "7"],
+        ["verify", "chain", "--q", "5"],
+        ["tables", "--format", "yaml"],
+        ["decode", "--q", "7", "--n", "3", "--point"],
+        ["verify", "chain", "--q", "x"],
+        ["verify", "tiling", "--q", "7", "--n", "3", "--gen", "1,1,0;0,1,1"],
+        ["interleave", "verify", "--q", "7", "--n", "3", "--exhaustive=yes"],
+        ["verify"],
+        [],
+    ],
+    ids=[
+        "unknown-option", "stray-word", "missing-n", "bad-q-choice", "bad-format",
+        "no-value", "bad-int", "abbreviation", "flag-with-value", "partial-command", "empty",
+    ],
+)
+def test_parser_refusals_are_one_error_line(capsys, argv):
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("words", [(), *COMMANDS], ids=lambda w: " ".join(w) or "top")
+def test_help_names_every_option(capsys, words):
+    for flag in ("--help", "-h"):
+        assert run_cli([*words, flag]) == 0
+        out = capsys.readouterr().out
+        for key, (_, options, _) in COMMANDS.items():
+            line = [x for x in out.splitlines() if x.strip().startswith(f"leetoric {' '.join(key)} ")]
+            if key[: len(words)] != words:
+                assert line == []
+                continue
+            assert len(line) == 1 and re.findall(r"--[a-z]+", line[0]) == list(options)
+
+
 def test_main_raises_system_exit():
     with pytest.raises(SystemExit):
         main()
@@ -268,15 +322,18 @@ def test_python_dash_m(module):
 # Runs in a fresh interpreter, because this test module has numpy loaded.
 # After importing the package and the CLI, and after each command given as
 # JSON in argv[1], it prints [exit code, heavy modules loaded, leetoric
-# submodules loaded].  `dataclasses` and `inspect` (which it imports, with
-# ast, dis and tokenize) cost every process about 25 ms; numpy loads inspect.
+# submodules loaded, deferred stdlib loaded].  `dataclasses` and `inspect`
+# (which it imports, with ast, dis and tokenize) cost every process about
+# 25 ms; numpy loads inspect and datetime.  The CLI parses without argparse
+# (and the gettext and locale it loads) and stamps without datetime.
 BOUNDARY_PROBE = """
 import contextlib, io, json, sys
 import leetoric, leetoric.cli
 
 def state(code):
     loaded = set(sys.modules) | {m.split('.')[0] for m in sys.modules}
-    heavy = loaded & {'numpy', 'scipy', 'importlib.metadata', 'dataclasses', 'inspect'}
+    heavy = loaded & {'numpy', 'scipy', 'importlib.metadata', 'dataclasses', 'inspect',
+                      'argparse', 'gettext', 'locale', 'datetime'}
     deferred = loaded & {'csv', 'decimal', 'fractions', 'datetime'}
     return [code, sorted(heavy), sorted(m for m in loaded if m.startswith('leetoric.')),
             sorted(deferred)]
@@ -320,17 +377,17 @@ def run_boundary_probe(commands: list) -> list:
 
 
 def _deferred_after(argv: list, before: list) -> list:
-    # the table-only and timestamp-only stdlib a command adds: a certificate
-    # needs datetime, the tables need decimal and fractions, and csv for csv
-    added = {"datetime"} if argv[0] != "tables" else {"decimal", "fractions"}
+    # the table-only stdlib a command adds: the tables need decimal and
+    # fractions, and csv for csv; a certificate adds none
+    added = {"decimal", "fractions"} if argv[0] == "tables" else set()
     return sorted({*before, *added, *(["csv"] if "csv" in argv else [])})
 
 
 def test_import_pulls_in_no_scipy_or_dist_metadata():
-    # numpy (and with it inspect) is loaded only by the sampled sweep; no
-    # import or command loads dataclasses.  `import leetoric` loads none of
-    # csv, decimal, fractions or datetime; each loads with the first command
-    # that prints what needs it.
+    # numpy (and with it inspect and datetime) is loaded only by the sampled
+    # sweep; no import or command loads dataclasses, argparse, gettext,
+    # locale or datetime.  `import leetoric` loads none of csv, decimal or
+    # fractions; each loads with the first command that prints what needs it.
     after_import, *runs = run_boundary_probe([argv for argv, _ in NUMPY_FREE_COMMANDS])
     assert after_import == [None, [], SUBMODULES, []]
     deferred, want = [], []
@@ -338,12 +395,12 @@ def test_import_pulls_in_no_scipy_or_dist_metadata():
         deferred = _deferred_after(argv, deferred)
         want.append([code, [], SUBMODULES, deferred])
     assert runs == want
-    assert deferred == ["csv", "datetime", "decimal", "fractions"]
+    assert deferred == ["csv", "decimal", "fractions"]
     tables = ["tables", "--format", "csv"]
     assert run_boundary_probe([tables])[1] == [0, [], SUBMODULES, ["csv", "decimal", "fractions"]]
     for argv in NUMPY_COMMANDS:
         # numpy's own import loads datetime
-        want = [0, ["inspect", "numpy"], SUBMODULES, ["datetime"]]
+        want = [0, ["datetime", "inspect", "numpy"], SUBMODULES, ["datetime"]]
         assert run_boundary_probe([argv])[1] == want, argv
 
 

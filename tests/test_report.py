@@ -175,6 +175,26 @@ def test_certificate_fields_and_serialization():
     assert "generated_at" in loaded
 
 
+def test_generated_at_is_the_utc_isoformat_stamp(monkeypatch):
+    import time
+    from datetime import datetime, timezone
+
+    stamp = make_certificate("claim", {}, True).generated_at
+    parsed = datetime.fromisoformat(stamp)
+    assert stamp.endswith("+00:00") and parsed.utcoffset().total_seconds() == 0
+    assert abs(datetime.now(timezone.utc) - parsed).total_seconds() < 1
+    for ns, want in [
+        (1_700_000_000_000_000_000, "2023-11-14T22:13:20+00:00"),
+        (1_700_000_000_123_456_789, "2023-11-14T22:13:20.123456+00:00"),
+        (1_700_000_000_000_001_000, "2023-11-14T22:13:20.000001+00:00"),
+    ]:
+        monkeypatch.setattr(time, "time_ns", lambda: ns)
+        assert make_certificate("claim", {}, True).generated_at == want
+        # what datetime gives for the same instant, at microsecond precision
+        moment = datetime.fromtimestamp(ns // 10**9, timezone.utc)
+        assert want == moment.replace(microsecond=ns // 1000 % 10**6).isoformat()
+
+
 def test_report_records_are_immutable_tuples():
     cert = make_certificate("claim", {"q": 9}, True)
     row = table_rows()[0]
