@@ -10,6 +10,10 @@ uniquely" are one fact, so each code computes one placement (LeeCode.placement)
 on first use.  The tiling check asks whether it exists, the interleaver takes
 its hypercube ranks from it, and a decode reads the rank-indexed cover derived
 from it, whose shared results carry the offset index as cross-section label.
+The first decode of a tiling code also stores the record (cover, q, n) in the
+code, so a warm decode is one length check, one Horner loop of x % q and one
+cover read; a coordinate that is not an int (a numpy integer, or a float that
+must be refused) is ranked again through operator.index.
 
 lee_sphere fixes the offset order once; sphere_shifts turns it into the
 torus table, a cached tuple of rows from which every engine takes neighbours.
@@ -75,7 +79,10 @@ class LeeCode:
             return None  # checked first: at q = 2, n = 20 the table is 41 x 2^20
         ranks = [_rank(c, q) for c in self.codewords]
         rows = tuple(tuple(map(row.__getitem__, ranks)) for row in sphere_shifts(q, n))
-        return rows if len(set(chain.from_iterable(rows))) == q**n else None
+        hit = bytearray(q**n)  # in a fresh process this beats a set of the ranks
+        for r in chain.from_iterable(rows):
+            hit[r] = 1
+        return None if 0 in hit else rows
 
     @cached_property
     def _cover(self) -> tuple[DecodeResult, ...]:
@@ -206,11 +213,38 @@ def decode_nearest(point: Sequence[int], code: LeeCode) -> DecodeResult:
 
     Only defined for perfect codes; anything else raises, because two
     codewords would then compete for (or none would cover) some point.
-    Coordinates must be integers (operator.index): a float or a string raises
-    TypeError.  All representatives of a point share one immutable result.
+    The first decode of a tiling code stores its record (cover, q, n) in the
+    code; a code that does not tile gets none, so every decode re-reads its
+    placement and raises.  A warm decode checks the length, ranks the point
+    with x % q per coordinate and reads the cover.  A rank that comes out as
+    anything but an int, or a TypeError, ArithmeticError or RuntimeWarning
+    in that loop, sends the point through operator.index: numpy integers
+    decode exactly, and a float, a Decimal or a string raises TypeError (an
+    object whose x % q is an int is ranked by that int).  All
+    representatives of a point share one immutable result.
     """
-    if len(point) != code.n:
+    try:
+        cover, q, n = code._decoder
+    except AttributeError:
+        cover, q, n = _make_decoder(code, point)
+    if len(point) != n:
         raise ValueError("dimension mismatch")
+    r = 0
+    try:
+        for x in point:
+            r = r * q + x % q
+    except (TypeError, ArithmeticError, RuntimeWarning):  # a str; a numpy overflow
+        r = None
+    if type(r) is not int:  # a numpy integer's fixed width could have wrapped
+        r = _rank(point, q)
+    return cover[r]
+
+
+def _make_decoder(code: LeeCode, point: Sequence[int]) -> tuple:
+    # a wrong length is refused before the placement is read, as when warm
+    if len(point) != code.n:
+        raise ValueError("dimension mismatch") from None
     if code.placement is None:
-        raise ValueError("decoding not unique")
-    return code._cover[_rank(point, code.q)]
+        raise ValueError("decoding not unique") from None
+    record = vars(code)["_decoder"] = (code._cover, code.q, code.n)
+    return record

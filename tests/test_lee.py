@@ -3,6 +3,8 @@ from __future__ import annotations
 import gc
 import random
 import weakref
+from decimal import Decimal
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -349,7 +351,8 @@ def test_lee_code_equality_is_by_value():
 
 def test_lee_code_is_immutable_and_a_value():
     code = enumerate_codewords(code_generators(7, 3), 7, 3)
-    for name in ("q", "codewords", "placement", "_cover"):
+    decode_nearest((1, 1, 1), code)
+    for name in ("q", "codewords", "placement", "_cover", "_decoder"):
         with pytest.raises(AttributeError):
             setattr(code, name, None)
         with pytest.raises(AttributeError):
@@ -395,6 +398,7 @@ def test_decode_returns_the_shared_result(code3, code4, code52):
         for point in product(range(q), repeat=n):
             res = decode_nearest(point, code)
             assert type(res) is lee.DecodeResult
+            assert res is code._cover[lee._rank(point, q)]  # the cover's own entry
             lift = tuple(x + q * rng.randint(-2, 2) for x in point)
             assert decode_nearest(lift, code) is res
         assert len(set(map(id, code._cover))) == q**n  # one object per point
@@ -423,16 +427,62 @@ def test_decode_seeded_unreduced_stream(code3, code4):
             assert res.offset_index == golomb_welch_label([x % q for x in p], n)
 
 
-@pytest.mark.parametrize("point", [(1.9, 1, 1), ("1", 1, 1), (1, 1, 1.0)])
+@pytest.mark.parametrize(
+    "point",
+    [
+        (1.9, 1, 1),
+        ("1", 1, 1),
+        (1, 1, 1.0),
+        # x % 7 is a Decimal, a Fraction or a float64: the rank is no int
+        (Decimal(1), 1, 1),
+        (1, Fraction(8), 1),
+        (1, 1, np.float64(1)),
+        # x % 7 raises (bytes) or formats a string ("%d" % 7 == "7")
+        (b"1", 1, 1),
+        (1, 1, "%d"),
+    ],
+)
 def test_decode_refuses_non_integer_coordinates(code3, point):
+    decode_nearest((1, 1, 1), code3)  # warm: the record is in place
     with pytest.raises(TypeError):
         decode_nearest(point, code3)
+
+
+class IndexOnly:
+    """An integer by operator.index and by nothing else: no %, no arithmetic."""
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
 
 
 def test_decode_takes_numpy_integers(code3):
     point = np.array([8, -6, 1], dtype=np.int64)
     assert decode_nearest(point, code3) == decode_nearest((1, 1, 1), code3)
     assert decode_nearest((True, 1, 1), code3) == decode_nearest((1, 1, 1), code3)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16, np.uint64])
+def test_decode_takes_narrow_numpy_integers_exactly(code3, dtype):
+    # x % 7 keeps the dtype, so a rank built from it would wrap at 8 bits
+    # (6, 6, 6) ranks 342; an int8 Horner loop gets 86
+    for point in product((0, 5, 6), repeat=3):
+        res = decode_nearest(np.array(point, dtype=dtype), code3)
+        assert res is decode_nearest(point, code3)
+
+
+def test_decode_takes_an_index_only_coordinate(code3, code4):
+    for code in (code3, code4):
+        q, n = code.q, code.n
+        rng = random.Random(q)
+        for _ in range(200):
+            point = tuple(rng.randint(-2 * q, 2 * q) for _ in range(n))
+            res = decode_nearest(point, code)
+            assert decode_nearest(tuple(map(IndexOnly, point)), code) is res
+            mixed = point[:-1] + (IndexOnly(point[-1]),)
+            assert decode_nearest(mixed, code) is res
 
 
 def test_enumeration_refuses_non_integer_generators():
@@ -498,6 +548,51 @@ def test_decode_nonperfect_raises():
         decode_nearest((0, 0, 1), code)
 
 
+def test_decode_nonperfect_refuses_every_call():
+    # no record is stored, so the second decode reads the placement again
+    code = enumerate_codewords(((1, 1, 0), (0, 1, 1)), 7, 3)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="decoding not unique") as info:
+            decode_nearest((0, 0, 1), code)
+        assert info.value.__context__ is None or info.value.__suppress_context__
+        assert "_decoder" not in vars(code)
+
+
+def test_decode_refuses_a_wrong_length_before_a_non_tiling_code():
+    code = enumerate_codewords(((1, 1, 0), (0, 1, 1)), 7, 3)
+    for point in ((0, 1), (0, 0, 0, 1)):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                decode_nearest(point, code)
+    with pytest.raises(ValueError, match="decoding not unique"):
+        decode_nearest((0, 0, 1), code)
+
+
+def test_decode_record_is_stored_once():
+    code = enumerate_codewords(code_generators(7, 3), 7, 3)
+    assert "_decoder" not in vars(code)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        decode_nearest((1, 1), code)  # refused before the record is made
+    assert "_decoder" not in vars(code)
+    res = decode_nearest((1, 1, 1), code)
+    record = vars(code)["_decoder"]
+    assert record == (code._cover, 7, 3) and record[0] is code._cover
+    assert decode_nearest((8, 8, 8), code) is res
+    assert vars(code)["_decoder"] is record
+
+
 def test_decode_dimension_mismatch(code3):
     with pytest.raises(ValueError):
         decode_nearest((1, 1), code3)
+
+
+def test_decode_refuses_a_wrong_length_when_warm(code3, code4):
+    rng = random.Random(7)
+    for code in (code3, code4):
+        q, n = code.q, code.n
+        for _ in range(1000):
+            decode_nearest(tuple(rng.randint(-2 * q, 2 * q) for _ in range(n)), code)
+        # a leading 0 or a dropped coordinate leaves a rank inside the cover
+        for point in ((), (1,) * (n - 1), (0,) + (1,) * n, (1,) * (n + 1)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                decode_nearest(point, code)
