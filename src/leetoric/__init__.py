@@ -5,28 +5,18 @@ behind a family of burst-error-correcting toric quantum codes: nested
 integer lattices, perfect radius-1 Lee-sphere codes and their tilings,
 stabilizer supports on periodic hypercubic complexes, a burst interleaver,
 and the rate/gain tables of the resulting codes.
+
+`import leetoric` loads the code layer only: `_version`, `instances` and
+`lee`, which is all a decoding process calls.  The names of the claim
+engines (`lattices`, `toric`, `interleave`, `report`) load their module on
+first access and are then cached here.  `cli` still imports every module it
+dispatches to at its top: perfbench's tracer wraps the functions of the
+modules loaded when it installs, after `import leetoric.cli`, so a module a
+command loaded later would go untimed.
 """
 
 from ._version import __version__
 from .instances import CERTIFIED, certified_code, code_generators, scaling_matrix
-from .interleave import (
-    BurstSweepSummary,
-    InterleaverMap,
-    LogicalIndex,
-    PhysicalSlot,
-    all_burst_translates,
-    build_interleaver,
-    interleaved_params,
-    verify_burst_correction,
-)
-from .lattices import (
-    ChainReport,
-    IntMatrix,
-    coset_count,
-    determinant,
-    hermite_form,
-    verify_chain,
-)
 from .lee import (
     DecodeResult,
     LeeCode,
@@ -39,21 +29,28 @@ from .lee import (
     symmetric_residue,
     tiling_check,
 )
-from .report import (
-    RateGain,
-    TableRow,
-    VerificationCertificate,
-    emit_tables,
-    parse_tables,
-    rate_gain,
-    table_rows,
-)
-from .toric import (
-    CodeParams,
-    commutation_check,
-    literature_params,
-    new_code_params,
-)
+
+# public name -> the submodule that defines it, imported on first access
+_LAZY = {
+    **dict.fromkeys(
+        ("BurstSweepSummary", "InterleaverMap", "LogicalIndex", "PhysicalSlot",
+         "all_burst_translates", "build_interleaver", "interleaved_params",
+         "verify_burst_correction"),
+        "interleave",
+    ),
+    **dict.fromkeys(
+        ("ChainReport", "IntMatrix", "coset_count", "determinant", "hermite_form", "verify_chain"),
+        "lattices",
+    ),
+    **dict.fromkeys(
+        ("RateGain", "TableRow", "VerificationCertificate", "emit_tables", "parse_tables",
+         "rate_gain", "table_rows"),
+        "report",
+    ),
+    **dict.fromkeys(
+        ("CodeParams", "commutation_check", "literature_params", "new_code_params"), "toric"
+    ),
+}
 
 __all__ = [
     "BurstSweepSummary",
@@ -96,3 +93,16 @@ __all__ = [
     "verify_burst_correction",
     "verify_chain",
 ]
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

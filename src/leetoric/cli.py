@@ -211,6 +211,8 @@ def _parse(words: tuple, rest: Iterator[str]) -> tuple:
         opt, eq, value = arg.partition("=")
         if opt not in options or (eq and options[opt] is None):
             raise ValueError(f"unrecognized argument {arg!r}")
+        if opt[2:] in kwargs:
+            raise ValueError(f"{opt} given more than once")
         if options[opt] is None:
             kwargs[opt[2:]] = True
             continue

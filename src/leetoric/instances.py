@@ -11,17 +11,19 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import index
+from typing import TYPE_CHECKING
 
-from .lattices import IntMatrix
 from .lee import LeeCode, enumerate_codewords
+
+if TYPE_CHECKING:
+    from .lattices import IntMatrix
 
 CERTIFIED: tuple[tuple[int, int], ...] = ((7, 3), (9, 4))
 
+# rows of the scaling matrices; lattices loads only when one is asked for
 _SCALING = {
-    (7, 3): IntMatrix(((0, 2, 1), (0, 1, 4), (1, 0, 2))),
-    (9, 4): IntMatrix(
-        ((0, 0, 1, 6), (0, 0, -1, 3), (0, 1, 1, 1), (1, 0, 0, 2))
-    ),
+    (7, 3): ((0, 2, 1), (0, 1, 4), (1, 0, 2)),
+    (9, 4): ((0, 0, 1, 6), (0, 0, -1, 3), (0, 1, 1, 1), (1, 0, 0, 2)),
 }
 
 _GENERATORS = {
@@ -40,7 +42,9 @@ def require_certified(q: int, n: int) -> tuple[int, int]:
 
 def scaling_matrix(q: int, n: int) -> IntMatrix:
     """The integer matrix whose row lattice sits between Z^n and qZ^n."""
-    return _SCALING[require_certified(q, n)]
+    from .lattices import IntMatrix
+
+    return IntMatrix(_SCALING[require_certified(q, n)])
 
 
 def code_generators(q: int, n: int) -> tuple[tuple[int, ...], ...]:

@@ -101,8 +101,7 @@ class BurstSweepSummary(NamedTuple):
     anchor's correctable patterns as prod_b (1 + alpha s_b), s_b being the
     number of its tile cells in block b, and every other pattern of the
     (alpha+1)^(2n+1) as a failure; "sampled-masks" judges each drawn and
-    extremal pattern by its mask of hit tile cells.  masks_checked is None
-    in both modes: neither enumerates masks per anchor.
+    extremal pattern by its mask of hit tile cells.
     """
 
     q: int
@@ -116,7 +115,6 @@ class BurstSweepSummary(NamedTuple):
     failures: int
     max_block_errors: int
     method: str
-    masks_checked: Optional[int]
 
 
 def build_interleaver(code: LeeCode) -> InterleaverMap:
@@ -220,7 +218,7 @@ def verify_burst_correction(
         q=q, n=n, mode=mode, samples=samples, seed=None if samples is None else seed,
         rng_algorithm=None if samples is None else RNG_ALGORITHM, translates=anchors,
         patterns_checked=patterns, failures=failures, max_block_errors=max_block,
-        method=method, masks_checked=None,
+        method=method,
     )
 
 

@@ -140,7 +140,7 @@ def test_interleave_verify_exhaustive(capsys):
     assert cert["counts"]["patterns_checked"] == 5_619_712
     assert cert["counts"]["failures"] == 0
     assert cert["counts"]["method"] == "block-product"
-    assert cert["counts"]["masks_checked"] is None
+    assert "masks_checked" not in cert["counts"]
 
 
 def test_interleave_verify_exhaustive_4d(capsys):
@@ -152,7 +152,7 @@ def test_interleave_verify_exhaustive_4d(capsys):
         assert cert["counts"]["failures"] == 0
         assert cert["counts"]["max_block_errors"] == 1
         assert cert["counts"]["method"] == "block-product"
-        assert cert["counts"]["masks_checked"] is None
+        assert "masks_checked" not in cert["counts"]
 
 
 def test_interleave_verify_sampled(capsys):
@@ -166,7 +166,7 @@ def test_interleave_verify_sampled(capsys):
     assert cert["counts"]["failures"] == 0
     assert cert["counts"]["rng_algorithm"] == "numpy-pcg64"
     assert cert["counts"]["method"] == "sampled-masks"
-    assert cert["counts"]["masks_checked"] is None
+    assert "masks_checked" not in cert["counts"]
 
 
 def test_interleave_verify_refuses_oversized_sample(capsys, monkeypatch):
@@ -263,6 +263,15 @@ def test_point_value_forms_decode_alike(capsys):
     }
 
 
+# each names its option once too often; an option given twice is refused,
+# not read last-wins
+REPEATED_OPTIONS = {
+    "--q": ["verify", "chain", "--q", "7", "--q", "9"],
+    "--format": ["tables", "--format=csv", "--format", "markdown"],
+    "--exhaustive": ["interleave", "verify", "--q", "7", "--n", "3", *["--exhaustive"] * 2],
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -277,10 +286,12 @@ def test_point_value_forms_decode_alike(capsys):
         ["interleave", "verify", "--q", "7", "--n", "3", "--exhaustive=yes"],
         ["verify"],
         [],
+        *REPEATED_OPTIONS.values(),
     ],
     ids=[
         "unknown-option", "stray-word", "missing-n", "bad-q-choice", "bad-format",
         "no-value", "bad-int", "abbreviation", "flag-with-value", "partial-command", "empty",
+        "repeated-option", "repeated-joined-option", "repeated-flag",
     ],
 )
 def test_parser_refusals_are_one_error_line(capsys, argv):
@@ -289,6 +300,12 @@ def test_parser_refusals_are_one_error_line(capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_a_repeated_option_is_named(capsys):
+    for opt, argv in REPEATED_OPTIONS.items():
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == f"error: {opt} given more than once\n"
 
 
 @pytest.mark.parametrize("words", [(), *COMMANDS], ids=lambda w: " ".join(w) or "top")
@@ -345,7 +362,9 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(out))
 """
 
-# The perfbench tracer wraps functions of modules loaded by `import leetoric`.
+# `import leetoric.cli` loads every submodule: cli imports each module it
+# dispatches to at its top, because the perfbench tracer, installed after
+# that import, wraps only the functions of modules already loaded.
 SUBMODULES = [
     f"leetoric.{m}"
     for m in ("_version", "cli", "instances", "interleave", "lattices", "lee", "report", "toric")
@@ -402,6 +421,51 @@ def test_import_pulls_in_no_scipy_or_dist_metadata():
         # numpy's own import loads datetime
         want = [0, ["datetime", "inspect", "numpy"], SUBMODULES, ["datetime"]]
         assert run_boundary_probe([argv])[1] == want, argv
+
+
+# Runs in a fresh interpreter and prints what loads when: `import leetoric`
+# alone, then `dir`, an unknown name and `verify_chain`; then the public
+# names whose attribute, `from leetoric import` value and home module's
+# object (CERTIFIED, a tuple, has no __module__ and lives in instances) are
+# not one object.  json loads only to print the result.
+LAZY_PROBE = """
+import sys
+import leetoric
+
+def submodules():
+    return sorted(m[len('leetoric.'):] for m in sys.modules if m.startswith('leetoric.'))
+
+out = {'import': submodules(), 'stdlib': sorted({'json', 'numpy'} & set(sys.modules))}
+out['dir'] = sorted(set(leetoric.__all__) - set(dir(leetoric)))
+out['unknown'] = not hasattr(leetoric, 'no_such_name') and submodules()
+leetoric.verify_chain
+out['verify_chain'] = submodules()
+out['differ'] = []
+for name in leetoric.__all__:
+    ns = {}
+    exec(f'from leetoric import {name} as value', ns)
+    attr = getattr(leetoric, name)
+    home = getattr(attr, '__module__', 'leetoric.instances')
+    if not (home.startswith('leetoric.')
+            and attr is ns['value'] is getattr(sys.modules[home], name)):
+        out['differ'].append(name)
+import json
+print(json.dumps(out))
+"""
+
+
+def test_import_leetoric_loads_only_the_code_layer():
+    # a decoding process compiles no claim engine: each loads with the first
+    # public name read from it, and the tracer's swaps by identity still hold
+    proc = run_python("-c", LAZY_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["import"] == ["_version", "instances", "lee"]
+    assert out["stdlib"] == []
+    assert out["dir"] == []
+    assert out["unknown"] == ["_version", "instances", "lee"]
+    assert out["verify_chain"] == ["_version", "instances", "lattices", "lee"]
+    assert out["differ"] == [] and len(leetoric.__all__) == 39
 
 
 # Runs each command given as JSON in argv[1] in one interpreter where
