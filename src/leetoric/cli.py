@@ -4,7 +4,9 @@ Every verification subcommand prints a JSON certificate to standard output
 and exits 0 when the claim holds, 1 when a verification fails, and 2 on
 usage or domain errors (diagnostics go to standard error).  COMMANDS is the
 whole grammar: the command words, then options as `--opt value` or
-`--opt=value`; -h or --help prints the usage it implies.
+`--opt=value`; -h or --help prints the usage it implies.  A verification
+handler prints nothing: it returns its claim as (claim, inputs, passed,
+counts), and run_cli alone stamps it, prints it and sets the exit code.
 """
 
 from __future__ import annotations
@@ -37,16 +39,6 @@ def _parse_generators(text: str) -> tuple[tuple[int, ...], ...]:
         raise ValueError(f"not a semicolon-separated vector list: {text!r}") from None
 
 
-def _parse_seed(text: str) -> int:
-    try:
-        seed = int(text)
-    except ValueError:
-        raise ValueError(f"not an integer seed: {text!r}") from None
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
-    return seed
-
-
 def _one_of(choices: Sequence, convert=str):
     def parse(text: str):
         if convert(text) in choices:
@@ -55,119 +47,72 @@ def _one_of(choices: Sequence, convert=str):
     return parse
 
 
-def _emit(cert) -> int:
-    print(certificate_json(cert))
-    return 0 if cert.passed else 1
-
-
-def _cmd_chain(q: int) -> int:
+def _cmd_chain(q: int) -> tuple:
     """certify the nested lattice chain"""
     n = dict(CERTIFIED)[q]
     matrix = scaling_matrix(q, n)
     rep = verify_chain(matrix, q)
     cosets = coset_count(matrix, IntMatrix.scalar(q, n)) if rep.inclusion_holds else None
-    passed = (
-        rep.inclusion_holds
-        and rep.strictly_nested
-        and cosets == rep.scaled_index
-    )
-    cert = make_certificate(
-        claim="nested-chain",
-        inputs={"q": q, "n": n, "matrix": [list(r) for r in matrix.rows]},
-        passed=passed,
-        counts={
-            "det_abs": rep.det_abs,
-            "ambient_index": rep.ambient_index,
-            "scaled_index": rep.scaled_index,
-            "coset_count": cosets,
-            "inclusion_holds": rep.inclusion_holds,
-        },
-    )
-    return _emit(cert)
+    passed = rep.inclusion_holds and rep.strictly_nested and cosets == rep.scaled_index
+    counts = {
+        "det_abs": rep.det_abs,
+        "ambient_index": rep.ambient_index,
+        "scaled_index": rep.scaled_index,
+        "coset_count": cosets,
+        "inclusion_holds": rep.inclusion_holds,
+    }
+    inputs = {"q": q, "n": n, "matrix": [list(r) for r in matrix.rows]}
+    return "nested-chain", inputs, passed, counts
 
 
-def _cmd_tiling(q: int, n: int, generators=None) -> int:
+def _cmd_tiling(q: int, n: int, generators=None) -> tuple:
     """certify the perfect Lee-sphere tiling (--generators e.g. '0,1,4;1,0,2')"""
     if generators is None:
         code, generators = certified_code(q, n), code_generators(q, n)
     else:
         code = enumerate_codewords(generators, q, n)
-    ok = tiling_check(code)
-    cert = make_certificate(
-        claim="perfect-tiling",
-        inputs={"q": q, "n": n, "generators": [list(g) for g in generators]},
-        passed=ok,
-        counts={"codewords": len(code.codewords), "points": q**n},
-    )
-    return _emit(cert)
+    inputs = {"q": q, "n": n, "generators": [list(g) for g in generators]}
+    counts = {"codewords": len(code.codewords), "points": q**n}
+    return "perfect-tiling", inputs, tiling_check(code), counts
 
 
-def _cmd_mindist(q: int, n: int) -> int:
+def _cmd_mindist(q: int, n: int) -> tuple:
     """verify the minimum Mannheim distance"""
-    code = certified_code(q, n)
-    d = minimum_distance(code)
+    d = minimum_distance(certified_code(q, n))
     expected = new_code_params(q, n).d
-    cert = make_certificate(
-        claim="minimum-distance",
-        inputs={"q": q, "n": n},
-        passed=d == expected,
-        counts={"distance": d, "expected": expected},
-    )
-    return _emit(cert)
+    counts = {"distance": d, "expected": expected}
+    return "minimum-distance", {"q": q, "n": n}, d == expected, counts
 
 
-def _cmd_stabilizers(q: int, n: int) -> int:
+def _cmd_stabilizers(q: int, n: int) -> tuple:
     """check X/Z overlap parity"""
     ok = commutation_check(q, n)
-    cert = make_certificate(
-        claim="stabilizer-commutation",
-        inputs={"q": q, "n": n},
-        passed=ok,
-        counts=stabilizer_counts(q, n),
-    )
-    return _emit(cert)
+    return "stabilizer-commutation", {"q": q, "n": n}, ok, stabilizer_counts(q, n)
 
 
-def _cmd_interleave_verify(q: int, n: int, exhaustive=None, samples=None, seed=None) -> int:
+def _cmd_interleave_verify(q: int, n: int, exhaustive=None, samples=None, seed=None) -> tuple:
     """sweep Lee-sphere bursts, exhaustively unless --samples is given"""
     summary = verify_burst_correction(q, n, exhaustive=exhaustive, samples=samples, seed=seed)
     passed = summary.failures == 0 and summary.max_block_errors <= 1
-    cert = make_certificate(
-        claim="burst-correction",
-        inputs={
-            "q": q,
-            "n": n,
-            "mode": summary.mode,
-            "samples": summary.samples,
-            "seed": summary.seed,
-        },
-        passed=passed,
-        counts=summary._asdict(),
-    )
-    return _emit(cert)
+    inputs = {"q": q, "n": n, "mode": summary.mode, "samples": summary.samples}
+    inputs["seed"] = summary.seed
+    return "burst-correction", inputs, passed, summary._asdict()
 
 
-def _cmd_tables(format: str) -> int:
+def _cmd_tables(format: str) -> None:
     """emit the rate/gain tables"""
     sys.stdout.write(emit_tables(format))
-    return 0
 
 
-def _cmd_decode(q: int, n: int, point: tuple[int, ...]) -> int:
+def _cmd_decode(q: int, n: int, point: tuple[int, ...]) -> tuple:
     """decode a point of a certified code"""
-    code = certified_code(q, n)
-    res = decode_nearest(point, code)
-    cert = make_certificate(
-        claim="decode",
-        inputs={"q": q, "n": n, "point": list(point)},
-        passed=True,
-        counts={
-            "codeword": list(res.codeword),
-            "offset_index": res.offset_index,
-            "cross_section": res.offset_index,
-        },
-    )
-    return _emit(cert)
+    res = decode_nearest(point, certified_code(q, n))
+    counts = {
+        "codeword": list(res.codeword),
+        "offset_index": res.offset_index,
+        "cross_section": res.offset_index,
+    }
+    return "decode", {"q": q, "n": n, "point": list(point)}, True, counts
 
 
 _Q_N = {"--q": int, "--n": int}
@@ -181,7 +126,7 @@ COMMANDS = {
     ("mindist",): (_cmd_mindist, _Q_N, ("--q", "--n")),
     ("interleave", "verify"): (
         _cmd_interleave_verify,
-        {**_Q_N, "--exhaustive": None, "--samples": int, "--seed": _parse_seed},
+        {**_Q_N, "--exhaustive": None, "--samples": int, "--seed": int},
         ("--q", "--n"),
     ),
     ("tables",): (_cmd_tables, {"--format": _one_of(FORMATS)}, ("--format",)),
@@ -236,10 +181,15 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
             print(_usage(words))
             return 0
         handler, kwargs = _parse(words, iter(argv[len(words):]))
-        return handler(**kwargs)
+        claim = handler(**kwargs)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if claim is None:
+        return 0
+    cert = make_certificate(*claim)
+    print(certificate_json(cert))
+    return 0 if cert.passed else 1
 
 
 def main() -> None:

@@ -176,6 +176,8 @@ def verify_burst_correction(
     tile cells sharing cell k's block.  Failures are reported, not raised.
     samples and seed must be integers.  A seed applies only to sampled
     mode: given without samples it raises ValueError; omitted, it is 0.
+    A seed outside [0, 2**64) raises ValueError before the interleaver is
+    built.
     Sampled mode needs numpy, and without it ValueError comes before any
     sweep work.
     """
@@ -184,6 +186,8 @@ def verify_burst_correction(
         raise ValueError("--seed applies only to a sampled sweep: give --samples")
     samples = None if samples is None else index(samples)
     seed = index(0 if seed is None else seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError("--seed must fit in an unsigned 64-bit integer")
     if exhaustive is not None and exhaustive != (samples is None):
         raise ValueError("choose either exhaustive mode or a sample count")
     if samples is not None and samples < 1:

@@ -15,8 +15,10 @@ code, so a warm decode is one length check, one Horner loop of x % q and one
 cover read; a coordinate that is not an int (a numpy integer, or a float that
 must be refused) is ranked again through operator.index.
 
-lee_sphere fixes the offset order once; sphere_shifts turns it into the
-torus table, a cached tuple of rows from which every engine takes neighbours.
+lee_sphere and sphere_shifts each fix one offset order (zero, then +e_i, -e_i
+per axis): lee_sphere as offset vectors, sphere_shifts as the torus table, a
+cached tuple of rows from which every engine takes neighbours.  Neither calls
+the other; test_sphere_shifts_match_per_point_oracle pins their agreement.
 """
 
 from __future__ import annotations
@@ -220,8 +222,11 @@ def decode_nearest(point: Sequence[int], code: LeeCode) -> DecodeResult:
     anything but an int, or a TypeError, ArithmeticError or RuntimeWarning
     in that loop, sends the point through operator.index: numpy integers
     decode exactly, and a float, a Decimal or a string raises TypeError (an
-    object whose x % q is an int is ranked by that int).  All
-    representatives of a point share one immutable result.
+    object whose x % q is an int is ranked by that int).  A numpy-array
+    point takes that operator.index path at about twice the cost (3.12 vs
+    1.67 us per (9,4) point), so a caller holding an array passes
+    point.tolist().  All representatives of a point share one immutable
+    result.
     """
     try:
         cover, q, n = code._decoder

@@ -263,6 +263,35 @@ def test_point_value_forms_decode_alike(capsys):
     }
 
 
+# one argv per command, each tables format, and the claim each certificate
+# pins (None: the tables print text, not a certificate)
+RERUNS = [
+    (["verify", "chain", "--q", "9"], "nested-chain"),
+    (["verify", "tiling", "--q", "7", "--n", "3"], "perfect-tiling"),
+    (["verify", "stabilizers", "--q", "7", "--n", "3"], "stabilizer-commutation"),
+    (["mindist", "--q", "9", "--n", "4"], "minimum-distance"),
+    (["interleave", "verify", "--q", "7", "--n", "3", "--samples", "1000", "--seed", "7"],
+     "burst-correction"),
+    *((["tables", "--format", fmt], None) for fmt in FORMATS),
+    (["decode", "--q", "9", "--n", "4", "--point", "1,2,3,4"], "decode"),
+]
+
+
+def test_reruns_are_deterministic(capsys):
+    covered = {key for key in COMMANDS for argv, _ in RERUNS if tuple(argv[: len(key)]) == key}
+    assert covered == set(COMMANDS)
+    assert {argv[-1] for argv, _ in RERUNS if argv[0] == "tables"} == set(FORMATS)
+    for argv, claim in RERUNS:
+        runs = []
+        for _ in range(2):
+            code = run_cli(argv)
+            runs.append((code, _without_timestamp(capsys.readouterr().out)))
+        assert runs[0] == runs[1], argv
+        assert runs[0][0] == 0, argv
+        if claim is not None:
+            assert json.loads(runs[0][1])["claim"] == claim, argv
+
+
 # each names its option once too often; an option given twice is refused,
 # not read last-wins
 REPEATED_OPTIONS = {

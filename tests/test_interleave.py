@@ -491,6 +491,20 @@ def test_sweep_refuses_a_seed_without_samples(monkeypatch):
                 verify_burst_correction(7, 3, seed=seed, **mode)
 
 
+def test_sweep_refuses_a_seed_outside_64_bits(monkeypatch):
+    # the CLI and library callers meet one rule, checked before the
+    # interleaver is built
+    def no_build(code):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(interleave, "build_interleaver", no_build)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="unsigned 64-bit"):
+            verify_burst_correction(7, 3, samples=100, seed=seed)
+    monkeypatch.undo()
+    assert verify_burst_correction(7, 3, samples=100, seed=2**64 - 1).seed == 2**64 - 1
+
+
 def test_sampled_sweep_seed_defaults_to_zero():
     s = verify_burst_correction(7, 3, samples=1000)
     assert s.seed == 0
