@@ -14,8 +14,11 @@ A burst at an anchor may err at most one face per hypercube of the tile
 pattern is correctable exactly when no block sees two.  Every slot of a
 hypercube belongs to its block, so with s_b tile cells in block b a tile has
 prod_b (1 + alpha s_b) correctable patterns: one pass over the anchors counts
-them all, and that exhaustive sweep is the default.  Only the sampled sweep
-imports numpy, for its PCG64 draws.
+them all, and that exhaustive sweep is the default.  The sampled sweep reads
+the same pass first: a drawn pattern hits a subset of its tile's cells, and a
+block's error count cannot grow on a subset, so when every tile has its cells
+in distinct blocks no draw can fail and none is made.  Only when some tile
+repeats a block does the sampled sweep import numpy, for its PCG64 draws.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import cached_property
-from itertools import chain, product, repeat
+from itertools import chain, compress, product, repeat, tee
 from operator import index
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
@@ -31,7 +34,8 @@ from .instances import certified_code, require_certified
 from .lee import LeeCode, sphere_shifts
 from .toric import CodeParams, qubits_per_vertex
 
-# numpy stays off the `import leetoric` path: only the sampled sweep imports it
+# numpy stays off the `import leetoric` path: only a sampled sweep over a map
+# with a failing tile imports it
 if TYPE_CHECKING:
     import numpy as np
 
@@ -39,8 +43,9 @@ Vec = tuple[int, ...]
 
 RNG_ALGORITHM = "numpy-pcg64"
 
-# Sampled sweeps refuse more draws than this, which bounds their run time;
-# exhaustive mode checks every pattern for less than such a sample costs.
+# Sampled sweeps refuse more draws than this, which bounds their run time when
+# they draw (a failing tile exists); exhaustive mode checks every pattern for
+# less than such a sample costs, and a map with no failing tile draws nothing.
 MAX_SAMPLES = 10**8
 
 # Sampled draws are judged this many at a time, which bounds the sweep's
@@ -101,7 +106,10 @@ class BurstSweepSummary(NamedTuple):
     anchor's correctable patterns as prod_b (1 + alpha s_b), s_b being the
     number of its tile cells in block b, and every other pattern of the
     (alpha+1)^(2n+1) as a failure; "sampled-masks" judges each drawn and
-    extremal pattern by its mask of hit tile cells.
+    extremal pattern by its mask of hit tile cells.  Sampled patterns are
+    drawn and judged only when the block product finds a failing tile;
+    otherwise every tile's cells lie in distinct blocks, each pattern hits
+    each block at most once, and the summary follows without a draw.
     """
 
     q: int
@@ -169,21 +177,29 @@ def verify_burst_correction(
     The mode is sampled exactly when samples is given; an explicit
     exhaustive flag must agree.  Exhaustive mode accounts for all
     (alpha+1)^(2n+1) per-tile patterns of every anchor by the block
-    product.  Sampled mode draws that many seeded patterns spread evenly
+    product.  Sampled mode covers that many seeded patterns spread evenly
     over the anchors (at most MAX_SAMPLES), plus the all-cells-errored
-    extremal pattern of every slot for every anchor.  A pattern with mask
-    m sees max_k |m & cls[k]| errors in its fullest block, cls[k] being the
-    tile cells sharing cell k's block.  Failures are reported, not raised.
-    samples and seed must be integers.  A seed applies only to sampled
-    mode: given without samples it raises ValueError; omitted, it is 0.
+    extremal pattern of every slot for every anchor, and draws and judges
+    them only when the block product, run first in both modes, finds a
+    failing tile.  A pattern with mask m sees max_k |m & cls[k]| errors in
+    its fullest block, cls[k] being the tile cells sharing cell k's block.
+    A drawn mask is a subset of its anchor's all-cells extremal mask, and
+    the fullest-block count cannot grow on a subset, so when every tile's
+    cells lie in distinct blocks no pattern fails: the sampled summary then
+    follows exactly, failures 0 and max_block_errors 1, without a draw.
+    Failures are reported, not raised.
+    samples and seed must be integers, not bools.  A seed applies only to
+    sampled mode: given without samples it raises ValueError; omitted, it is 0.
     A seed outside [0, 2**64) raises ValueError before the interleaver is
     built.
-    Sampled mode needs numpy, and without it ValueError comes before any
-    sweep work.
+    Sampled mode needs numpy installed, drawn or not, and without it
+    ValueError comes before any sweep work.
     """
     q, n = require_certified(q, n)
     if seed is not None and samples is None:
         raise ValueError("--seed applies only to a sampled sweep: give --samples")
+    if bool in (type(samples), type(seed)):
+        raise TypeError("samples and seed must be integers, not bools")
     samples = None if samples is None else index(samples)
     seed = index(0 if seed is None else seed)
     if not 0 <= seed < 2**64:
@@ -198,25 +214,30 @@ def verify_burst_correction(
             "use exhaustive mode"
         )
     if samples is not None:
-        try:
-            import numpy  # noqa: F401  (the draws are numpy's PCG64)
-        except ImportError:
-            raise ValueError("the sampled sweep needs numpy, which is not installed") from None
+        # the draws are numpy's PCG64; finding numpy does not import it
+        from importlib.util import find_spec
+
+        if find_spec("numpy") is None:
+            raise ValueError("the sampled sweep needs numpy, which is not installed")
 
     imap = build_interleaver(certified_code(q, n))
-    alpha, anchors = imap.alpha, q**n
+    alpha, anchors, sphere = imap.alpha, q**n, 2 * n + 1
+    # tiles[a] = the blocks of anchor a's tile cells, in sphere order; only a
+    # tile that repeats a block has failing patterns
+    tiles, keys = tee(zip(*(map(imap.block_of.__getitem__, row) for row in sphere_shifts(q, n))))
+    per_tile = (alpha + 1) ** sphere
+    failures = 0
+    max_block = 1  # a tile whose cells lie in distinct blocks
+    for tile in compress(tiles, map(sphere.__gt__, map(len, map(set, keys)))):
+        sizes = Counter(tile).values()
+        failures += per_tile - math.prod(1 + alpha * s for s in sizes)
+        max_block = max(max_block, *sizes)
     if samples is None:
-        # tiles[a] = the blocks of anchor a's tile cells, in sphere order
-        tiles = zip(*(map(imap.block_of.__getitem__, row) for row in sphere_shifts(q, n)))
-        per_tile = (alpha + 1) ** (2 * n + 1)
-        failures = max_block = 0
-        for tile in tiles:
-            sizes = Counter(tile).values()
-            failures += per_tile - math.prod(1 + alpha * s for s in sizes)
-            max_block = max(max_block, *sizes)
         patterns, mode, method = anchors * per_tile, "exhaustive", "block-product"
     else:
-        failures, max_block, per_anchor = _sampled_sweep(imap, samples, seed)
+        per_anchor = math.ceil(samples / anchors)
+        if failures:  # else no drawn subset of a tile's cells can fail
+            failures, max_block = _sampled_sweep(imap, per_anchor, seed)
         patterns, mode, method = anchors * (alpha + per_anchor), "sampled", "sampled-masks"
     return BurstSweepSummary(
         q=q, n=n, mode=mode, samples=samples, seed=None if samples is None else seed,
@@ -226,8 +247,8 @@ def verify_burst_correction(
     )
 
 
-def _sampled_sweep(imap: InterleaverMap, samples: int, seed: int) -> tuple[int, int, int]:
-    # (failures, max_block_errors, draws per anchor) of the sampled sweep
+def _sampled_sweep(imap: InterleaverMap, per_anchor: int, seed: int) -> tuple[int, int]:
+    # (failures, max_block_errors) of per_anchor seeded draws at every anchor
     import numpy as np
 
     cls = _tile_classes(imap)
@@ -250,7 +271,6 @@ def _sampled_sweep(imap: InterleaverMap, samples: int, seed: int) -> tuple[int, 
     extremal = worst[row_of << sphere | (2**sphere - 1)]
     failures = imap.alpha * int(np.count_nonzero(extremal >= 2))
     max_block = int(extremal.max())
-    per_anchor = math.ceil(samples / anchors)
     draws = anchors * per_anchor
     weights = np.left_shift(1, np.arange(sphere), dtype=np.int16)
     rng = np.random.default_rng(seed)
@@ -265,7 +285,7 @@ def _sampled_sweep(imap: InterleaverMap, samples: int, seed: int) -> tuple[int, 
         drawn = worst[row_of[np.arange(lo, hi) // per_anchor] << sphere | mask]
         failures += int(np.count_nonzero(drawn >= 2))
         max_block = max(max_block, int(drawn.max()))
-    return failures, max_block, per_anchor
+    return failures, max_block
 
 
 def interleaved_params(q: int, n: int) -> CodeParams:

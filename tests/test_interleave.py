@@ -425,13 +425,56 @@ def test_tile_classes_9_4_memory_peak(imap4, traced_peak_mb):
 
 
 def test_sampled_sweep_working_set_does_not_grow_with_samples(traced_peak_mb):
-    # one chunk of draws and the compact verdict table, whatever the count
+    # a certified map has no failing tile, so it draws nothing: the block
+    # product's working set, whatever the count
     rise = [
         traced_peak_mb(lambda: verify_burst_correction(9, 4, samples=samples, seed=5))
         for samples in (10**5, 10**6)
     ]
     assert rise[1] <= 1.5
     assert abs(rise[1] - rise[0]) <= 0.1
+
+
+def test_doctored_sampled_working_set_does_not_grow_with_samples(monkeypatch, traced_peak_mb):
+    # a map with a failing tile draws: one chunk at a time, whatever the count
+    imap = _doctored(9, 4, tiles=40, seed=43)
+    monkeypatch.setattr(interleave, "build_interleaver", lambda code: imap)
+    rise = [
+        traced_peak_mb(lambda: verify_burst_correction(9, 4, samples=samples, seed=5))
+        for samples in (10**5, 10**6)
+    ]
+    assert rise[1] <= 1.5
+    assert abs(rise[1] - rise[0]) <= 0.1
+
+
+@pytest.mark.parametrize(
+    "q,n,samples,seed",
+    [(7, 3, 343, 3), (7, 3, 1000, 0), (9, 4, 6561, 11), (9, 4, 7000, 5)],
+)
+def test_certified_sampled_summary_is_the_oracle_without_a_draw(monkeypatch, q, n, samples, seed):
+    # every tile of a certified map has its cells in distinct blocks, so the
+    # block product alone decides the sampled summary: no draw is made, and
+    # the figures are those of drawing and judging every pattern literally
+    def no_draws(*args):
+        raise AssertionError("the sampled sweep drew")
+
+    monkeypatch.setattr(interleave, "_sampled_sweep", no_draws)
+    s = verify_burst_correction(q, n, samples=samples, seed=seed)
+    worst = _sampled_oracle(build_interleaver(certified_code(q, n)), -(-samples // q**n), seed)
+    assert s.patterns_checked == worst.size
+    assert s.failures == int(np.count_nonzero(worst >= 2)) == 0
+    assert s.max_block_errors == int(worst.max()) == 1
+    assert (s.mode, s.method, s.samples, s.seed) == ("sampled", "sampled-masks", samples, seed)
+
+
+def test_a_failing_tile_reaches_the_sampled_sweep(monkeypatch):
+    imap = _doctored(7, 3, tiles=12, seed=41)
+    monkeypatch.setattr(interleave, "build_interleaver", lambda code: imap)
+    calls = []
+    sweep = interleave._sampled_sweep
+    monkeypatch.setattr(interleave, "_sampled_sweep", lambda *args: calls.append(args) or sweep(*args))
+    assert verify_burst_correction(7, 3, samples=1000, seed=3).failures > 0
+    assert calls == [(imap, 3, 3)]  # ceil(1000 / 343) draws per anchor
 
 
 def _overwritten(imap: InterleaverMap, seed: int) -> InterleaverMap:
@@ -512,7 +555,7 @@ def test_sampled_sweep_seed_defaults_to_zero():
 
 
 @pytest.mark.parametrize("field", ["samples", "seed"])
-@pytest.mark.parametrize("bad", [2.5, "7"])
+@pytest.mark.parametrize("bad", [2.5, "7", True, False])
 def test_sweep_takes_only_integer_samples_and_seeds(field, bad):
     with pytest.raises(TypeError):
         verify_burst_correction(7, 3, **{"samples": 10, "seed": 1, field: bad})
