@@ -1,10 +1,11 @@
 """Per-cell oracles for the torus engines: they walk one cell, face index or
 burst pattern at a time, share no arithmetic with the engines, and nothing
-in the package imports them.  tile_classes keeps the sweep's former
-same-block matmul formula, over blocks looked up one tile cell at a time.
-Two numpy oracles keep the package's former array methods: the sorted-run
-overlap count of the commutation check (overlap_multiplicities) and the
-hit-cell mask quotient of the exhaustive burst sweep (mask_quotient_sweep).
+in the package imports them.  numpy is a test dependency only: the package
+runs on plain Python.  Two numpy oracles keep the package's former array
+methods: the sorted-run overlap count of the commutation check
+(overlap_multiplicities) and the hit-cell mask quotient of the burst sweep
+(mask_quotient_sweep), whose tile classes come from a same-block matmul over
+blocks looked up one tile cell at a time.
 cell_facets builds the facets of every d-cell one cell at a time, and
 support_rows reads the stabilizers off toric.boundary_columns: Z supports
 are its (k+1)-cell rows, X supports its qubit-cell facets transposed.
@@ -243,23 +244,6 @@ def enumerate_bursts(
             yield _pattern(anchor, faces, vec)
 
 
-def tile_classes(imap: InterleaverMap) -> np.ndarray:
-    """cls[a, k]: bitmask of the cells of anchor a's tile in cell k's block.
-
-    Anchors in row-major order, tile cells in lee_sphere order; the
-    (anchors x cells x cells) same-block cube times the bit weights, as one
-    bool -> int64 matmul.
-    """
-    offsets = lee_sphere(imap.n).offsets
-    blocks = np.array([
-        [imap.block_of[position_rank([a + o for a, o in zip(anchor, off)], imap.q)]
-         for off in offsets]
-        for anchor in product(range(imap.q), repeat=imap.n)
-    ])
-    same = blocks[:, :, None] == blocks[:, None, :]
-    return same @ (1 << np.arange(len(offsets)))
-
-
 def cell_facets(q: int, n: int, d: int) -> list[list[int]]:
     """The facets of every d-cell, one sorted list per cell, in cell order.
 
@@ -306,10 +290,18 @@ def mask_quotient_sweep(imap: InterleaverMap) -> tuple[int, int]:
     Every anchor's 2^(2n+1) masks of hit tile cells are judged, mask m
     standing for the alpha^|m| patterns hitting exactly those cells: the
     fullest block of a tile with classes cls sees max_k |m & cls[k]|
-    errors.  Anchors with equal tile_classes rows share one evaluation.
+    errors, cls[k] being the bitmask of its cells in cell k's block, one
+    bool -> int64 matmul of the same-block cube by the bit weights.  Anchors
+    (row-major) with equal class rows share one evaluation.
     """
-    cls = tile_classes(imap)
-    sphere = cls.shape[1]
+    offsets = lee_sphere(imap.n).offsets
+    blocks = np.array([
+        [imap.block_of[position_rank([a + o for a, o in zip(anchor, off)], imap.q)]
+         for off in offsets]
+        for anchor in product(range(imap.q), repeat=imap.n)
+    ])
+    sphere = len(offsets)
+    cls = (blocks[:, :, None] == blocks[:, None, :]) @ (1 << np.arange(sphere))
     masks = np.arange(2**sphere)
     popcount = ((masks[:, None] >> np.arange(sphere)) & 1).sum(axis=1)
     weight = imap.alpha**popcount

@@ -165,7 +165,7 @@ def test_interleave_verify_sampled(capsys):
     assert cert["inputs"]["mode"] == "sampled"
     assert cert["counts"]["failures"] == 0
     assert cert["counts"]["rng_algorithm"] == "numpy-pcg64"
-    assert cert["counts"]["method"] == "sampled-masks"
+    assert cert["counts"]["method"] == "block-product"
     assert "masks_checked" not in cert["counts"]
 
 
@@ -409,16 +409,11 @@ NUMPY_FREE_COMMANDS = [
     (["verify", "stabilizers", "--q", "7", "--n", "3"], 0),
     (["interleave", "verify", "--q", "7", "--n", "3", "--exhaustive"], 0),
     (["interleave", "verify", "--q", "9", "--n", "4"], 0),
+    # the sampled sweep is the block product too: no tile of a certified map
+    # has two cells in one block, so no seeded pattern can fail
+    (["interleave", "verify", "--q", "7", "--n", "3", "--samples", "1000", "--seed", "3"], 0),
+    (["interleave", "verify", "--q", "9", "--n", "4", "--samples", "1000000", "--seed", "0"], 0),
     *((["tables", "--format", fmt], 0) for fmt in FORMATS),
-]
-
-# The sampled sweep needs numpy, whose PCG64 makes the draws, and refuses
-# without it.  It finds numpy without importing it, and on a certified
-# instance makes no draw: the block product finds no tile with two cells in
-# one block, so no drawn pattern can fail.  It loads numpy only for a map with
-# a failing tile, which no certified command builds.
-NUMPY_COMMANDS = [
-    ["interleave", "verify", "--q", "7", "--n", "3", "--samples", "1000", "--seed", "3"],
 ]
 
 
@@ -450,8 +445,6 @@ def test_import_pulls_in_no_scipy_or_dist_metadata():
     assert deferred == ["csv", "decimal", "fractions"]
     tables = ["tables", "--format", "csv"]
     assert run_boundary_probe([tables])[1] == [0, [], SUBMODULES, ["csv", "decimal", "fractions"]]
-    for argv in NUMPY_COMMANDS:
-        assert run_boundary_probe([argv])[1] == [0, [], SUBMODULES, []], argv
 
 
 # Runs in a fresh interpreter and prints what loads when: `import leetoric`
@@ -530,13 +523,3 @@ def test_numpy_free_commands_run_without_numpy(capsys):
         normal = capsys.readouterr().out
         assert out and _without_timestamp(out) == _without_timestamp(normal), argv
 
-
-def test_sampled_sweep_without_numpy_is_a_usage_error():
-    # the sampled sweep refuses before any sweep work: exit 2, one stderr
-    # line naming numpy, nothing on stdout
-    proc = run_python("-c", NO_NUMPY_PROBE, json.dumps(NUMPY_COMMANDS))
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[2, ""]] * len(NUMPY_COMMANDS)
-    lines = proc.stderr.splitlines()
-    assert len(lines) == len(NUMPY_COMMANDS)
-    assert all(line.startswith("error: ") and "numpy" in line for line in lines)

@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
+import time
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +28,7 @@ from leetoric import (
     verify_burst_correction,
 )
 from leetoric import interleave
+from leetoric.lee import sphere_shifts
 from oracles import (
     code_block,
     deinterleave,
@@ -197,6 +204,26 @@ def test_all_burst_translates():
     assert len(set(t3)) == 343
     t4 = all_burst_translates(9, 4)
     assert len(t4) == 6561 and (0, 0, 0, 0) in t4
+
+
+@pytest.mark.parametrize("q,n", [(2, 40), (10**6, 2)])
+def test_all_burst_translates_refuses_an_oversized_torus(q, n):
+    # refused before a single anchor tuple is made
+    t0 = time.monotonic()
+    with pytest.raises(ValueError, match="over the limit"):
+        all_burst_translates(q, n)
+    assert time.monotonic() - t0 < 1
+
+
+def test_every_tile_has_its_cells_in_distinct_blocks(imap3, imap4, imap52):
+    # The sampled summary rests on this: two cells of a tile differ by Lee
+    # weight at most 2 < 3, so they carry distinct offset labels, hence lie
+    # in distinct cross-sections and distinct blocks.  (5,2) is a perfect
+    # code beyond the certified pair.
+    for imap in (imap3, imap4, imap52):
+        rows = sphere_shifts(imap.q, imap.n)
+        tiles = [[imap.block_of[row[a]] for row in rows] for a in range(imap.q**imap.n)]
+        assert all(len(set(tile)) == len(rows) == 2 * imap.n + 1 for tile in tiles)
 
 
 def test_enumerate_bursts_exhaustive_census(imap3):
@@ -381,49 +408,6 @@ def _sampled_oracle(imap, per_anchor: int, seed: int) -> np.ndarray:
     ])
 
 
-def test_doctored_blocks_match_pattern_oracle_4d_sampled(monkeypatch):
-    imap = _doctored(9, 4, tiles=40, seed=43)
-    worst = _sampled_oracle(imap, per_anchor=2, seed=5)
-    monkeypatch.setattr(interleave, "build_interleaver", lambda code: imap)
-    s = verify_burst_correction(9, 4, samples=7000, seed=5)
-    assert s.patterns_checked == worst.size
-    assert s.failures == int(np.count_nonzero(worst >= 2)) > 0
-    assert s.max_block_errors == int(worst.max())
-
-
-@pytest.mark.parametrize("q,n,tiles,seed", [(7, 3, 12, 41), (9, 4, 40, 43)])
-def test_sampled_chunks_that_split_anchors_match_the_oracle(monkeypatch, q, n, tiles, seed):
-    # 6 draws per anchor: a chunk of 4 is shorter than an anchor's run and a
-    # chunk of 64 longer, and both end inside some anchors' runs
-    imap = _doctored(q, n, tiles=tiles, seed=seed)
-    worst = _sampled_oracle(imap, per_anchor=6, seed=9)
-    monkeypatch.setattr(interleave, "build_interleaver", lambda code: imap)
-    samples = q**n * 5 + 1
-    default = verify_burst_correction(q, n, samples=samples, seed=9)
-    assert default.patterns_checked == worst.size
-    assert default.failures == int(np.count_nonzero(worst >= 2)) > 0
-    assert default.max_block_errors == int(worst.max())
-    for chunk in (4, 64):
-        monkeypatch.setattr(interleave, "_DRAW_CHUNK", chunk)
-        assert verify_burst_correction(q, n, samples=samples, seed=9) == default
-
-
-def test_tile_classes_match_the_matmul_oracle(imap3, imap4):
-    doctored = _doctored(9, 4, tiles=40, seed=43)
-    for imap in (imap3, imap4, doctored):
-        cls = interleave._tile_classes(imap)
-        assert cls.dtype.kind == "u"
-        assert cls.tolist() == oracles.tile_classes(imap).tolist()
-    assert len(np.unique(interleave._tile_classes(imap4), axis=0)) == 1
-    assert len(np.unique(interleave._tile_classes(doctored), axis=0)) > 1
-
-
-def test_tile_classes_9_4_memory_peak(imap4, traced_peak_mb):
-    # one same-block comparison per tile cell, ORed in place: the (6561, 9)
-    # blocks and classes and one bool column test (~0.5 MB), no upcast cube
-    assert traced_peak_mb(lambda: interleave._tile_classes(imap4)) <= 2
-
-
 def test_sampled_sweep_working_set_does_not_grow_with_samples(traced_peak_mb):
     # a certified map has no failing tile, so it draws nothing: the block
     # product's working set, whatever the count
@@ -436,7 +420,8 @@ def test_sampled_sweep_working_set_does_not_grow_with_samples(traced_peak_mb):
 
 
 def test_doctored_sampled_working_set_does_not_grow_with_samples(monkeypatch, traced_peak_mb):
-    # a map with a failing tile draws: one chunk at a time, whatever the count
+    # a map with a failing tile gets the block product's figures over every
+    # pattern, whatever the count
     imap = _doctored(9, 4, tiles=40, seed=43)
     monkeypatch.setattr(interleave, "build_interleaver", lambda code: imap)
     rise = [
@@ -451,30 +436,70 @@ def test_doctored_sampled_working_set_does_not_grow_with_samples(monkeypatch, tr
     "q,n,samples,seed",
     [(7, 3, 343, 3), (7, 3, 1000, 0), (9, 4, 6561, 11), (9, 4, 7000, 5)],
 )
-def test_certified_sampled_summary_is_the_oracle_without_a_draw(monkeypatch, q, n, samples, seed):
+def test_certified_sampled_summary_is_the_oracle_without_a_draw(q, n, samples, seed):
     # every tile of a certified map has its cells in distinct blocks, so the
-    # block product alone decides the sampled summary: no draw is made, and
-    # the figures are those of drawing and judging every pattern literally
-    def no_draws(*args):
-        raise AssertionError("the sampled sweep drew")
-
-    monkeypatch.setattr(interleave, "_sampled_sweep", no_draws)
+    # block product alone decides the sampled summary, and the figures are
+    # those of drawing and judging every pattern literally
     s = verify_burst_correction(q, n, samples=samples, seed=seed)
     worst = _sampled_oracle(build_interleaver(certified_code(q, n)), -(-samples // q**n), seed)
     assert s.patterns_checked == worst.size
     assert s.failures == int(np.count_nonzero(worst >= 2)) == 0
     assert s.max_block_errors == int(worst.max()) == 1
-    assert (s.mode, s.method, s.samples, s.seed) == ("sampled", "sampled-masks", samples, seed)
+    assert (s.mode, s.method, s.samples, s.seed) == ("sampled", "block-product", samples, seed)
 
 
-def test_a_failing_tile_reaches_the_sampled_sweep(monkeypatch):
-    imap = _doctored(7, 3, tiles=12, seed=41)
-    monkeypatch.setattr(interleave, "build_interleaver", lambda code: imap)
-    calls = []
-    sweep = interleave._sampled_sweep
-    monkeypatch.setattr(interleave, "_sampled_sweep", lambda *args: calls.append(args) or sweep(*args))
-    assert verify_burst_correction(7, 3, samples=1000, seed=3).failures > 0
-    assert calls == [(imap, 3, 3)]  # ceil(1000 / 343) draws per anchor
+SRC = str(Path(leetoric.__file__).resolve().parents[1])
+
+# Runs in a fresh interpreter: a sampled sweep over the certified map with the
+# block_of given on stdin, as JSON [q, n, samples, seed, block_of], then the
+# same sweep through run_cli.  Prints the summary, the exit code and whether
+# numpy was loaded.
+DOCTORED_SAMPLED_PROBE = """
+import contextlib, io, json, sys
+from leetoric import interleave
+from leetoric.cli import run_cli
+
+q, n, samples, seed, block_of = json.load(sys.stdin)
+build = interleave.build_interleaver
+
+def doctored(code):
+    imap = build(code)
+    return interleave.InterleaverMap(q, n, imap.alpha, imap.hypercube_rank, tuple(block_of))
+
+interleave.build_interleaver = doctored
+summary = interleave.verify_burst_correction(q, n, samples=samples, seed=seed)
+argv = ['interleave', 'verify', '--q', str(q), '--n', str(n),
+        '--samples', str(samples), '--seed', str(seed)]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = run_cli(argv)
+print(json.dumps([summary._asdict(), code, 'numpy' in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize(
+    "q,n,tiles,seed,samples", [(7, 3, 12, 41, 1000), (9, 4, 40, 43, 7000)]
+)
+def test_a_failing_tile_gets_the_exact_figures_in_sampled_mode(q, n, tiles, seed, samples):
+    # a map with a tile that repeats a block, judged in sampled mode: the
+    # block product's figures over every pattern, the sampling inputs echoed,
+    # exit 1 as for any failed verification, and no numpy import
+    imap = _doctored(q, n, tiles=tiles, seed=seed)
+    proc = subprocess.run(
+        [sys.executable, "-c", DOCTORED_SAMPLED_PROBE],
+        input=json.dumps([q, n, samples, 5, list(imap.block_of)]),
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    summary, code, numpy_loaded = json.loads(proc.stdout)
+    assert (summary["failures"], summary["max_block_errors"]) == oracles.mask_quotient_sweep(imap)
+    assert summary["failures"] > 0
+    assert summary["patterns_checked"] == q**n * (imap.alpha + 1) ** (2 * n + 1)
+    assert (summary["mode"], summary["samples"], summary["seed"], summary["rng_algorithm"]) == (
+        "sampled", samples, 5, "numpy-pcg64"
+    )
+    assert summary["method"] == "block-product"
+    assert code == 1
+    assert not numpy_loaded
 
 
 def _overwritten(imap: InterleaverMap, seed: int) -> InterleaverMap:
@@ -496,19 +521,6 @@ def test_block_product_matches_the_mask_quotient_oracle(monkeypatch, q, n):
         assert (s.failures, s.max_block_errors) == oracles.mask_quotient_sweep(imap)
         assert s.method == "block-product"
         assert (s.failures > 0) == (imap is not certified)
-
-
-@pytest.mark.parametrize("a", [2, 4, 7, 11])
-def test_int32_draws_take_the_int64_stream(a):
-    # The sampled sweep draws int32 choices; its seeded results stand for the
-    # int64 stream only while PCG64's bounded draws below 2^32 agree.
-    streams = []
-    for dtype in (np.int32, np.int64):
-        rng = np.random.default_rng(2024 + a)
-        streams.append(np.concatenate([
-            rng.integers(0, a, size=(rows, 9), dtype=dtype) for rows in (1000, 37, 2**12)
-        ]))
-    assert np.array_equal(*streams)
 
 
 def test_sweep_mode_errors():
@@ -583,5 +595,5 @@ def test_public_surface_leaves_the_oracles_to_the_tests():
     assert names == sorted(names) and len(names) == 39
     assert all(hasattr(leetoric, name) for name in names)
     moved = {k for k, v in vars(oracles).items() if getattr(v, "__module__", None) == "oracles"}
-    assert len(moved) == 26 and not moved & set(names)
+    assert len(moved) == 25 and not moved & set(names)
     assert not [k for k in moved for m in (leetoric.toric, interleave) if hasattr(m, k)]
