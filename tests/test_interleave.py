@@ -502,6 +502,47 @@ def test_a_failing_tile_gets_the_exact_figures_in_sampled_mode(q, n, tiles, seed
     assert not numpy_loaded
 
 
+def test_a_failing_tile_reaches_the_sampled_sweep(monkeypatch):
+    # the sampled sweep of a map with a failing tile reports what the
+    # exhaustive sweep of the same map does
+    imap = _doctored(7, 3, tiles=12, seed=41)
+    monkeypatch.setattr(interleave, "build_interleaver", lambda code: imap)
+    sampled = verify_burst_correction(7, 3, samples=1000, seed=3)
+    full = verify_burst_correction(7, 3, exhaustive=True)
+    assert sampled.failures == full.failures > 0
+    assert sampled.max_block_errors == full.max_block_errors
+    assert sampled.patterns_checked == full.patterns_checked
+    assert (sampled.mode, sampled.samples, sampled.seed) == ("sampled", 1000, 3)
+
+
+def test_doctored_blocks_match_pattern_oracle_4d_sampled(monkeypatch):
+    # exact figures over every pattern, so they bound those of the drawn
+    # patterns the literal oracle judges, and equal the mask oracle's
+    imap = _doctored(9, 4, tiles=40, seed=43)
+    worst = _sampled_oracle(imap, per_anchor=2, seed=5)
+    monkeypatch.setattr(interleave, "build_interleaver", lambda code: imap)
+    s = verify_burst_correction(9, 4, samples=7000, seed=5)
+    assert s.failures >= int(np.count_nonzero(worst >= 2)) > 0
+    assert s.max_block_errors >= int(worst.max()) >= 2
+    assert (s.failures, s.max_block_errors) == oracles.mask_quotient_sweep(imap)
+    assert s.patterns_checked == 9**4 * (imap.alpha + 1) ** 9
+
+
+@pytest.mark.parametrize("q,n,tiles,seed", [(7, 3, 12, 41), (9, 4, 40, 43)])
+def test_sampled_chunks_that_split_anchors_match_the_oracle(monkeypatch, q, n, tiles, seed):
+    # a count that ends inside some anchors' share, one below the anchor
+    # count and one that fills every anchor evenly: the figures depend on
+    # neither the count nor the seed, and are the oracle's
+    imap = _doctored(q, n, tiles=tiles, seed=seed)
+    monkeypatch.setattr(interleave, "build_interleaver", lambda code: imap)
+    default = verify_burst_correction(q, n, samples=q**n * 5 + 1, seed=9)
+    assert (default.failures, default.max_block_errors) == oracles.mask_quotient_sweep(imap)
+    assert default.failures > 0
+    for samples, s in ((q**n - 1, 9), (q**n * 6, 10)):
+        other = verify_burst_correction(q, n, samples=samples, seed=s)
+        assert other == default._replace(samples=samples, seed=s)
+
+
 def _overwritten(imap: InterleaverMap, seed: int) -> InterleaverMap:
     # a tenth of block_of overwritten with blocks drawn from the map's own
     rng = random.Random(seed)
