@@ -149,7 +149,8 @@ def _usage(words: tuple) -> str:
 def _parse(words: tuple, rest: Iterator[str]) -> tuple:
     """The handler COMMANDS gives for words, and the keywords the options in rest name."""
     if words not in COMMANDS:
-        raise ValueError(f"unknown command {' '.join(words)!r}; see leetoric --help")
+        what = f"unknown command {' '.join(words)!r}" if words else "missing command"
+        raise ValueError(f"{what}; see leetoric --help")
     handler, options, required = COMMANDS[words]
     kwargs = {}
     for arg in rest:

@@ -238,8 +238,11 @@ def test_tables_unknown_format():
     assert run_cli(["tables", "--format", "yaml"]) == 2
 
 
-def test_usage_errors_exit_2():
-    assert run_cli([]) == 2
+def test_usage_errors_exit_2(capsys):
+    # no command word names the missing command, not an empty unknown one
+    for argv in ([], ["--q", "7"]):
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == "error: missing command; see leetoric --help\n"
     assert run_cli(["bogus"]) == 2
     assert run_cli(["verify"]) == 2
     assert run_cli(["verify", "chain"]) == 2
