@@ -34,8 +34,7 @@ from .lee import (
 _LAZY = {
     **dict.fromkeys(
         ("BurstSweepSummary", "InterleaverMap", "LogicalIndex", "PhysicalSlot",
-         "all_burst_translates", "build_interleaver", "interleaved_params",
-         "verify_burst_correction"),
+         "all_burst_translates", "build_interleaver", "verify_burst_correction"),
         "interleave",
     ),
     **dict.fromkeys(
@@ -43,13 +42,12 @@ _LAZY = {
         "lattices",
     ),
     **dict.fromkeys(
-        ("RateGain", "TableRow", "VerificationCertificate", "emit_tables", "parse_tables",
+        ("CodeParams", "RateGain", "TableRow", "VerificationCertificate", "emit_tables",
+         "interleaved_params", "literature_params", "new_code_params", "parse_tables",
          "rate_gain", "table_rows"),
         "report",
     ),
-    **dict.fromkeys(
-        ("CodeParams", "commutation_check", "literature_params", "new_code_params"), "toric"
-    ),
+    "commutation_check": "toric",
 }
 
 __all__ = [

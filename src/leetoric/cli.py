@@ -20,7 +20,7 @@ from .interleave import verify_burst_correction
 from .lattices import IntMatrix, coset_count, verify_chain
 from .lee import decode_nearest, enumerate_codewords, minimum_distance, tiling_check
 from .report import FORMATS, certificate_json, emit_tables, make_certificate
-from .toric import commutation_check, new_code_params, stabilizer_counts
+from .toric import commutation_check, stabilizer_counts
 
 
 def _parse_vector(text: str) -> tuple[int, ...]:
@@ -78,8 +78,11 @@ def _cmd_tiling(q: int, n: int, generators=None) -> tuple:
 
 def _cmd_mindist(q: int, n: int) -> tuple:
     """verify the minimum Mannheim distance"""
-    d = minimum_distance(certified_code(q, n))
-    expected = new_code_params(q, n).d
+    code = certified_code(q, n)
+    # a perfect radius-1 tiling forces d = 3: its spheres are disjoint, and a
+    # point at distance 2 from a codeword lies in another codeword's sphere
+    expected = 3 if tiling_check(code) else None
+    d = minimum_distance(code)
     counts = {"distance": d, "expected": expected}
     return "minimum-distance", {"q": q, "n": n}, d == expected, counts
 

@@ -1,4 +1,4 @@
-"""Qubit interleaver over Lee-sphere tiles, plus burst-correction sweeps.
+"""Qubit interleaver over Lee-sphere tiles, and its burst-correction sweep.
 
 The interleaver is a bijection between logical indices (cross-section j,
 block slot b, codeword position i) and physical slots (owner hypercube plus
@@ -21,7 +21,7 @@ without a draw.  Every map build_interleaver makes is such a map: two cells
 of a tile differ by Lee weight at most 2, below the code's distance 3, so
 they carry distinct offset labels and lie in distinct cross-sections, hence
 distinct blocks.  A map with a failing tile gets the exact figures over every
-pattern in either mode.
+pattern in either mode.  The interleaved code's printed record is in report.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import NamedTuple, Optional
 
 from .instances import certified_code, require_certified
 from .lee import LeeCode, _require_points, sphere_shifts
-from .toric import CodeParams, qubits_per_vertex
+from .toric import qubits_per_vertex
 
 Vec = tuple[int, ...]
 
@@ -214,15 +214,3 @@ def verify_burst_correction(
         translates=anchors, patterns_checked=patterns, failures=failures,
         max_block_errors=max_block, method="block-product",
     )
-
-
-def interleaved_params(q: int, n: int) -> CodeParams:
-    """Parameter record of the interleaved code on a certified instance.
-
-    It is q^(n-1) = [L(M) : qZ^n] copies of the new code [[alpha q, alpha]].
-    The capability t is the burst-correction capability q; no minimum
-    distance is claimed, so the distance field stays empty.
-    """
-    q, n = require_certified(q, n)
-    alpha = qubits_per_vertex(n)
-    return CodeParams(n_code=alpha * q**n, k=alpha * q ** (n - 1), d=None, t=q)

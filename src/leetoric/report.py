@@ -1,25 +1,93 @@
-"""Rate/gain arithmetic, golden tables, and verification certificates.
+"""The paper's code records, their rate/gain tables, and certificates.
 
-Rates are exact rationals R = k/n rendered half-even at four decimal places,
-widened one place at a time until at least three significant digits survive.
-The printed gain is the exact decimal product rounded-rate x (t+1) with
-trailing zeros trimmed; the exact rational G = R(t+1) is carried alongside.
-The gain column is a plain ratio even though such tables are often labeled
-in dB; the renderings here reproduce the reference digits as printed.
+The quantum records are the paper's printed values, not derived here; only
+the tables read them.  Rates are exact rationals R = k/n rendered half-even
+at four decimal places, widened one place at a time until at least three
+significant digits survive.  The printed gain is the exact decimal product
+rounded-rate x (t+1), trailing zeros trimmed, with the exact G = R(t+1)
+alongside; it is a plain ratio, not dB, and reproduces the printed digits.
 """
 
 from __future__ import annotations
 
 import json  # csv, decimal and fractions load where used (annotations are strings)
 import time
+from operator import index
 from typing import NamedTuple, Optional
 
 from ._version import __version__
-from .instances import CERTIFIED
-from .interleave import interleaved_params
-from .toric import CodeParams, literature_params, new_code_params
+from .instances import CERTIFIED, require_certified
+from .toric import qubit_cell_dim, qubits_per_vertex
 
 FORMATS = ("markdown", "csv", "json-lines")
+
+
+class CodeParams(
+    NamedTuple("CodeParams", [("n_code", int), ("k", int), ("d", Optional[int]), ("t", int)])
+):
+    """Quantum code parameter record [[n_code, k, d]] with capability t.
+
+    d may be None for records that claim a correction capability without
+    claiming a minimum distance (the interleaved codes do exactly that);
+    when d is present, t must be the derived floor((d-1)/2).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n_code: int, k: int, d: Optional[int], t: int) -> "CodeParams":
+        if not (n_code >= k >= 1):
+            raise ValueError("need n_code >= k >= 1")
+        if d is not None:
+            if d < 1:
+                raise ValueError("distance must be positive")
+            if t != (d - 1) // 2:
+                raise ValueError("t must equal floor((d-1)/2)")
+        elif t < 0:
+            raise ValueError("capability must be nonnegative")
+        return super().__new__(cls, n_code, k, d, t)
+
+    # tuple's _make, and so _replace, would skip the checks in __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+
+def literature_params(q: int, n: int) -> CodeParams:
+    """Parameter record of the standard toric code on the q^n torus.
+
+    [[alpha q^n, alpha, q^min(c, n-c)]] for qubits on c-cells: there are
+    alpha = C(n, c) = dim H_c(T^n) logical qubits, and the shortest logical
+    operators are the c- and (n-c)-dimensional slices of the torus.
+    """
+    q, n = index(q), index(n)
+    if q < 2:
+        raise ValueError("need q >= 2")
+    if not 2 <= n <= 4:
+        raise ValueError("unsupported dimension")
+    alpha, c = qubits_per_vertex(n), qubit_cell_dim(n)
+    d = q ** min(c, n - c)
+    return CodeParams(n_code=alpha * q**n, k=alpha, d=d, t=(d - 1) // 2)
+
+
+def new_code_params(q: int, n: int) -> CodeParams:
+    """Parameter record of the Lee-sphere-based code on the certified tori.
+
+    alpha qubits on each of the q = |det M| vertices of Z^n / L(M); the
+    distance 3 is the Lee code's.
+    """
+    q, n = require_certified(q, n)
+    alpha = qubits_per_vertex(n)
+    return CodeParams(n_code=alpha * q, k=alpha, d=3, t=1)
+
+
+def interleaved_params(q: int, n: int) -> CodeParams:
+    """Parameter record of the interleaved code on a certified instance.
+
+    It is q^(n-1) = [L(M) : qZ^n] copies of the new code [[alpha q, alpha]].
+    The capability t is the burst-correction capability q; no minimum
+    distance is claimed, so the distance field stays empty.
+    """
+    q, n = require_certified(q, n)
+    alpha = qubits_per_vertex(n)
+    return CodeParams(n_code=alpha * q**n, k=alpha * q ** (n - 1), d=None, t=q)
 
 
 class RateGain(NamedTuple):

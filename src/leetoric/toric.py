@@ -1,4 +1,4 @@
-"""Cell structure of the q^n torus and toric-code bookkeeping.
+"""Cell structure of the q^n torus and the stabilizer commutation check.
 
 Qubits live on the axis-aligned 2-cells of the periodic q^n cubical complex
 for n >= 3, and on edges in two dimensions.  A qubit cell's index is its
@@ -17,38 +17,8 @@ from collections import Counter
 from itertools import chain, combinations, product
 from math import comb
 from operator import index, itemgetter
-from typing import NamedTuple, Optional
 
-from .instances import require_certified
 from .lee import sphere_shifts
-
-
-class CodeParams(
-    NamedTuple("CodeParams", [("n_code", int), ("k", int), ("d", Optional[int]), ("t", int)])
-):
-    """Quantum code parameter record [[n_code, k, d]] with capability t.
-
-    d may be None for records that claim a correction capability without
-    claiming a minimum distance (the interleaved codes do exactly that);
-    when d is present, t must be the derived floor((d-1)/2).
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, n_code: int, k: int, d: Optional[int], t: int) -> "CodeParams":
-        if not (n_code >= k >= 1):
-            raise ValueError("need n_code >= k >= 1")
-        if d is not None:
-            if d < 1:
-                raise ValueError("distance must be positive")
-            if t != (d - 1) // 2:
-                raise ValueError("t must equal floor((d-1)/2)")
-        elif t < 0:
-            raise ValueError("capability must be nonnegative")
-        return super().__new__(cls, n_code, k, d, t)
-
-    # tuple's _make, and so _replace, would skip the checks in __new__
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def qubit_cell_dim(n: int) -> int:
@@ -153,31 +123,3 @@ def commutation_check(q: int, n: int) -> bool:
         if any(m % 2 for tally in tallies for m in tally.values()):
             return False
     return True
-
-
-def literature_params(q: int, n: int) -> CodeParams:
-    """Parameter record of the standard toric code on the q^n torus.
-
-    [[alpha q^n, alpha, q^min(c, n-c)]] for qubits on c-cells: there are
-    alpha = C(n, c) = dim H_c(T^n) logical qubits, and the shortest logical
-    operators are the c- and (n-c)-dimensional slices of the torus.
-    """
-    q, n = index(q), index(n)
-    if q < 2:
-        raise ValueError("need q >= 2")
-    if not 2 <= n <= 4:
-        raise ValueError("unsupported dimension")
-    alpha, c = qubits_per_vertex(n), qubit_cell_dim(n)
-    d = q ** min(c, n - c)
-    return CodeParams(n_code=alpha * q**n, k=alpha, d=d, t=(d - 1) // 2)
-
-
-def new_code_params(q: int, n: int) -> CodeParams:
-    """Parameter record of the Lee-sphere-based code on the certified tori.
-
-    alpha qubits on each of the q = |det M| vertices of Z^n / L(M); the
-    distance 3 is the Lee code's, which `mindist` certifies.
-    """
-    q, n = require_certified(q, n)
-    alpha = qubits_per_vertex(n)
-    return CodeParams(n_code=alpha * q, k=alpha, d=3, t=1)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import leetoric
-from leetoric import emit_tables, interleave, lattices, lee, toric
+from leetoric import cli, emit_tables, interleave, lattices, lee, toric
 from leetoric.cli import COMMANDS, main, run_cli
 from leetoric.report import FORMATS
 
@@ -93,6 +93,33 @@ def test_mindist_certified(capsys):
     code, cert = run_and_parse(capsys, ["mindist", "--q", "9", "--n", "4"])
     assert code == 0
     assert cert["counts"] == {"distance": 3, "expected": 3}
+
+
+def test_mindist_grades_the_lee_distance_against_the_tiling(capsys, monkeypatch):
+    # the expected 3 is what a perfect radius-1 tiling forces, not the
+    # printed quantum record: a record of d = 5 moves nothing
+    def record(q, n):
+        return leetoric.CodeParams(n_code=6 * q, k=6, d=5, t=2)
+
+    holders = [
+        module for name, module in list(sys.modules.items())
+        if name.split(".")[0] == "leetoric" and "new_code_params" in vars(module)
+    ]
+    assert holders
+    for module in holders:
+        monkeypatch.setattr(module, "new_code_params", record)
+    code, cert = run_and_parse(capsys, ["mindist", "--q", "9", "--n", "4"])
+    assert code == 0
+    assert cert["counts"] == {"distance": 3, "expected": 3}
+
+
+def test_mindist_of_a_code_that_does_not_tile_expects_nothing(capsys, monkeypatch):
+    code = lee.enumerate_codewords(((1, 1, 0), (0, 1, 1)), 7, 3)
+    monkeypatch.setattr(cli, "certified_code", lambda q, n: code)
+    exit_code, cert = run_and_parse(capsys, ["mindist", "--q", "7", "--n", "3"])
+    assert exit_code == 1
+    assert cert["passed"] is False
+    assert cert["counts"] == {"distance": 2, "expected": None}
 
 
 def test_mindist_uncertified_is_usage_error(capsys):
@@ -451,10 +478,10 @@ def test_import_pulls_in_no_scipy_or_dist_metadata():
 
 
 # Runs in a fresh interpreter and prints what loads when: `import leetoric`
-# alone, then `dir`, an unknown name and `verify_chain`; then the public
-# names whose attribute, `from leetoric import` value and home module's
-# object (CERTIFIED, a tuple, has no __module__ and lives in instances) are
-# not one object.  json loads only to print the result.
+# alone, then `dir`, an unknown name, `verify_chain` and `table_rows`; then
+# the public names whose attribute, `from leetoric import` value and home
+# module's object (CERTIFIED, a tuple, has no __module__ and lives in
+# instances) are not one object.  json loads only to print the result.
 LAZY_PROBE = """
 import sys
 import leetoric
@@ -467,6 +494,8 @@ out['dir'] = sorted(set(leetoric.__all__) - set(dir(leetoric)))
 out['unknown'] = not hasattr(leetoric, 'no_such_name') and submodules()
 leetoric.verify_chain
 out['verify_chain'] = submodules()
+leetoric.table_rows
+out['table_rows'] = submodules()
 out['differ'] = []
 for name in leetoric.__all__:
     ns = {}
@@ -492,6 +521,9 @@ def test_import_leetoric_loads_only_the_code_layer():
     assert out["dir"] == []
     assert out["unknown"] == ["_version", "instances", "lee"]
     assert out["verify_chain"] == ["_version", "instances", "lattices", "lee"]
+    # the tables read the paper's records from report, which needs toric's
+    # qubit counts but no interleaver
+    assert out["table_rows"] == ["_version", "instances", "lattices", "lee", "report", "toric"]
     assert out["differ"] == [] and len(leetoric.__all__) == 39
 
 
