@@ -101,6 +101,22 @@ def test_determinant_singular_is_zero():
     assert determinant(m) == 0
 
 
+# a zero first or middle column leaves no pivot for Bareiss before the last
+# step, so determinant returns 0 early
+ZERO_COLUMNS = [((0, 1, 2), (0, 3, 4), (0, 5, 6)), ((1, 0, 2), (3, 0, 4), (5, 0, 6))]
+
+
+@pytest.mark.parametrize("rows", ZERO_COLUMNS)
+def test_determinant_of_a_zero_column_is_zero(rows):
+    assert determinant(IntMatrix(rows)) == 0
+
+
+@pytest.mark.parametrize("rows", ZERO_COLUMNS)
+def test_verify_chain_refuses_a_singular_matrix(rows):
+    with pytest.raises(ValueError, match="singular matrix"):
+        verify_chain(IntMatrix(rows), 7)
+
+
 def test_constructors_and_validation():
     assert IntMatrix.scalar(1, 3).rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert IntMatrix.scalar(7, 2).rows == ((7, 0), (0, 7))

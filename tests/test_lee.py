@@ -165,6 +165,13 @@ def test_enumeration_order_matches_the_bfs_oracle(q, n, generators):
     assert all(type(x) is int for c in code.codewords for x in c)
 
 
+def test_lee_code_refuses_a_modulus_below_two_and_an_empty_dimension():
+    with pytest.raises(ValueError, match="modulus must be at least 2"):
+        LeeCode(1, 3, (), ())
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        LeeCode(7, 0, (), ())
+
+
 def test_lee_code_refuses_codewords_of_another_length(code52):
     # padded words used to rank past the table, cut ones to read False
     padded = tuple(c + (0,) for c in code52.codewords)
