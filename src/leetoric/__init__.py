@@ -8,11 +8,10 @@ and the rate/gain tables of the resulting codes.
 
 `import leetoric` loads the code layer only: `_version`, `instances` and
 `lee`, which is all a decoding process calls.  The names of the claim
-engines (`lattices`, `toric`, `interleave`, `report`) load their module on
-first access and are then cached here.  `cli` still imports every module it
-dispatches to at its top: perfbench's tracer wraps the functions of the
-modules loaded when it installs, after `import leetoric.cli`, so a module a
-command loaded later would go untimed.
+engines (`lattices`, `toric`, `interleave`, `report`) and the certificate
+record (`cli`) load their module on first access and are then cached here.
+`cli` registers the four claim engines as lazy modules, so a CLI process
+executes only those its command calls.
 """
 
 from ._version import __version__
@@ -42,11 +41,11 @@ _LAZY = {
         "lattices",
     ),
     **dict.fromkeys(
-        ("CodeParams", "RateGain", "TableRow", "VerificationCertificate", "emit_tables",
-         "interleaved_params", "literature_params", "new_code_params", "parse_tables",
-         "rate_gain", "table_rows"),
+        ("CodeParams", "RateGain", "TableRow", "emit_tables", "interleaved_params",
+         "literature_params", "new_code_params", "parse_tables", "rate_gain", "table_rows"),
         "report",
     ),
+    "VerificationCertificate": "cli",
     "commutation_check": "toric",
 }
 

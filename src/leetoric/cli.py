@@ -6,21 +6,91 @@ usage or domain errors (diagnostics go to standard error).  COMMANDS is the
 whole grammar: the command words, then options as `--opt value` or
 `--opt=value`; -h or --help prints the usage it implies.  A verification
 handler prints nothing: it returns its claim as (claim, inputs, passed,
-counts), and run_cli alone stamps it, prints it and sets the exit code.
+counts), and run_cli alone stamps it as a VerificationCertificate, prints it
+and sets the exit code.
+
+A process executes only the claim engines its command calls.  Importing
+this module registers `lattices`, `toric`, `interleave` and `report` in
+sys.modules through importlib's LazyLoader, and each executes on its first
+attribute read, so handlers call through the module.  perfbench's tracer,
+installed after this import, still finds every module in sys.modules and
+wraps its functions: its first read of one executes it.
 """
 
 from __future__ import annotations
 
 import sys
+import time
+from importlib.util import LazyLoader, find_spec, module_from_spec
 from itertools import takewhile
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
+from ._version import __version__
 from .instances import CERTIFIED, certified_code, code_generators, scaling_matrix
-from .interleave import verify_burst_correction
-from .lattices import IntMatrix, coset_count, verify_chain
 from .lee import decode_nearest, enumerate_codewords, minimum_distance, tiling_check
-from .report import FORMATS, certificate_json, emit_tables, make_certificate
-from .toric import commutation_check, stabilizer_counts
+
+
+def _lazy(name: str):
+    """The submodule leetoric.<name>, to be executed on its first attribute read."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = find_spec(fullname)
+    spec.loader = LazyLoader(spec.loader)
+    module = sys.modules[fullname] = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # bound on the package as an import binds it, so `leetoric.toric` reads it
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+interleave, lattices, report, toric = map(_lazy, ("interleave", "lattices", "report", "toric"))
+
+FORMATS = ("markdown", "csv", "json-lines")  # what report.emit_tables writes
+
+
+class VerificationCertificate(NamedTuple):
+    """Machine-readable outcome of one verification command.
+
+    The result fields are a pure function of claim, inputs, and seed; only
+    generated_at varies between reruns.
+    """
+
+    claim: str
+    inputs: dict
+    passed: bool
+    counts: dict
+    version: str
+    generated_at: str
+
+
+def make_certificate(
+    claim: str, inputs: dict, passed: bool, counts: Optional[dict] = None
+) -> VerificationCertificate:
+    # the UTC stamp datetime.now(timezone.utc).isoformat() gives, without datetime
+    seconds, micros = divmod(time.time_ns() // 1000, 10**6)
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds))
+    return VerificationCertificate(
+        claim=claim,
+        inputs=inputs,
+        passed=bool(passed),
+        counts=counts or {},
+        version=__version__,
+        generated_at=stamp + (f".{micros:06d}" if micros else "") + "+00:00",
+    )
+
+
+def certificate_json(cert: VerificationCertificate) -> str:
+    import json  # loads with the first certificate printed
+
+    return json.dumps(cert._asdict(), sort_keys=False)
+
+
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"not an integer: {text!r}") from None
 
 
 def _parse_vector(text: str) -> tuple[int, ...]:
@@ -51,8 +121,9 @@ def _cmd_chain(q: int) -> tuple:
     """certify the nested lattice chain"""
     n = dict(CERTIFIED)[q]
     matrix = scaling_matrix(q, n)
-    rep = verify_chain(matrix, q)
-    cosets = coset_count(matrix, IntMatrix.scalar(q, n)) if rep.inclusion_holds else None
+    rep = lattices.verify_chain(matrix, q)
+    scaled = lattices.IntMatrix.scalar(q, n)
+    cosets = lattices.coset_count(matrix, scaled) if rep.inclusion_holds else None
     passed = rep.inclusion_holds and rep.strictly_nested and cosets == rep.scaled_index
     counts = {
         "det_abs": rep.det_abs,
@@ -89,13 +160,15 @@ def _cmd_mindist(q: int, n: int) -> tuple:
 
 def _cmd_stabilizers(q: int, n: int) -> tuple:
     """check X/Z overlap parity"""
-    ok = commutation_check(q, n)
-    return "stabilizer-commutation", {"q": q, "n": n}, ok, stabilizer_counts(q, n)
+    ok = toric.commutation_check(q, n)
+    return "stabilizer-commutation", {"q": q, "n": n}, ok, toric.stabilizer_counts(q, n)
 
 
 def _cmd_interleave_verify(q: int, n: int, exhaustive=None, samples=None, seed=None) -> tuple:
     """sweep Lee-sphere bursts, exhaustively unless --samples is given"""
-    summary = verify_burst_correction(q, n, exhaustive=exhaustive, samples=samples, seed=seed)
+    summary = interleave.verify_burst_correction(
+        q, n, exhaustive=exhaustive, samples=samples, seed=seed
+    )
     passed = summary.failures == 0 and summary.max_block_errors <= 1
     inputs = {"q": q, "n": n, "mode": summary.mode, "samples": summary.samples}
     inputs["seed"] = summary.seed
@@ -104,7 +177,7 @@ def _cmd_interleave_verify(q: int, n: int, exhaustive=None, samples=None, seed=N
 
 def _cmd_tables(format: str) -> None:
     """emit the rate/gain tables"""
-    sys.stdout.write(emit_tables(format))
+    sys.stdout.write(report.emit_tables(format))
 
 
 def _cmd_decode(q: int, n: int, point: tuple[int, ...]) -> tuple:
@@ -118,18 +191,20 @@ def _cmd_decode(q: int, n: int, point: tuple[int, ...]) -> tuple:
     return "decode", {"q": q, "n": n, "point": list(point)}, True, counts
 
 
-_Q_N = {"--q": int, "--n": int}
+_Q_N = {"--q": _parse_int, "--n": _parse_int}
 
 # command words -> (handler, option -> converter or None for a bare flag,
 # required options); each option reaches the handler as a keyword
 COMMANDS = {
-    ("verify", "chain"): (_cmd_chain, {"--q": _one_of([q for q, _ in CERTIFIED], int)}, ("--q",)),
+    ("verify", "chain"): (
+        _cmd_chain, {"--q": _one_of([q for q, _ in CERTIFIED], _parse_int)}, ("--q",)
+    ),
     ("verify", "tiling"): (_cmd_tiling, {**_Q_N, "--generators": _parse_generators}, ("--q", "--n")),
     ("verify", "stabilizers"): (_cmd_stabilizers, _Q_N, ("--q", "--n")),
     ("mindist",): (_cmd_mindist, _Q_N, ("--q", "--n")),
     ("interleave", "verify"): (
         _cmd_interleave_verify,
-        {**_Q_N, "--exhaustive": None, "--samples": int, "--seed": int},
+        {**_Q_N, "--exhaustive": None, "--samples": _parse_int, "--seed": _parse_int},
         ("--q", "--n"),
     ),
     ("tables",): (_cmd_tables, {"--format": _one_of(FORMATS)}, ("--format",)),

@@ -1,4 +1,4 @@
-"""The paper's code records, their rate/gain tables, and certificates.
+"""The paper's code records and their rate/gain tables.
 
 The quantum records are the paper's printed values, not derived here; only
 the tables read them.  Rates are exact rationals R = k/n rendered half-even
@@ -11,15 +11,11 @@ alongside; it is a plain ratio, not dB, and reproduces the printed digits.
 from __future__ import annotations
 
 import json  # csv, decimal and fractions load where used (annotations are strings)
-import time
 from operator import index
 from typing import NamedTuple, Optional
 
-from ._version import __version__
 from .instances import CERTIFIED, require_certified
 from .toric import qubit_cell_dim, qubits_per_vertex
-
-FORMATS = ("markdown", "csv", "json-lines")
 
 
 class CodeParams(
@@ -109,21 +105,6 @@ class TableRow(NamedTuple):
     gain_printed: str
     rate_exact: Fraction
     gain_exact: Fraction
-
-
-class VerificationCertificate(NamedTuple):
-    """Machine-readable outcome of one verification command.
-
-    The result fields are a pure function of claim, inputs, and seed; only
-    generated_at varies between reruns.
-    """
-
-    claim: str
-    inputs: dict
-    passed: bool
-    counts: dict
-    version: str
-    generated_at: str
 
 
 def _round_half_even(value: Fraction, places: int) -> Decimal:
@@ -297,23 +278,3 @@ def parse_tables(text: str, fmt: str) -> tuple[TableRow, ...]:
             rate_exact=rate_exact, gain_exact=gain_exact,
         ))
     return tuple(rows)
-
-
-def make_certificate(
-    claim: str, inputs: dict, passed: bool, counts: Optional[dict] = None
-) -> VerificationCertificate:
-    # the UTC stamp datetime.now(timezone.utc).isoformat() gives, without datetime
-    seconds, micros = divmod(time.time_ns() // 1000, 10**6)
-    stamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds))
-    return VerificationCertificate(
-        claim=claim,
-        inputs=inputs,
-        passed=bool(passed),
-        counts=counts or {},
-        version=__version__,
-        generated_at=stamp + (f".{micros:06d}" if micros else "") + "+00:00",
-    )
-
-
-def certificate_json(cert: VerificationCertificate) -> str:
-    return json.dumps(cert._asdict(), sort_keys=False)

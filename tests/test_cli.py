@@ -12,8 +12,7 @@ import pytest
 
 import leetoric
 from leetoric import cli, emit_tables, interleave, lattices, lee, toric
-from leetoric.cli import COMMANDS, main, run_cli
-from leetoric.report import FORMATS
+from leetoric.cli import COMMANDS, FORMATS, main, run_cli
 
 SRC = str(Path(leetoric.__file__).resolve().parents[1])
 
@@ -398,12 +397,14 @@ def test_python_dash_m(module):
 # Runs in a fresh interpreter, because this test module has numpy loaded.
 # After importing the package and the CLI, and after each command given as
 # JSON in argv[1], it prints [exit code, heavy modules loaded, leetoric
-# submodules loaded, deferred stdlib loaded].  `dataclasses` and `inspect`
-# (which it imports, with ast, dis and tokenize) cost every process about
-# 25 ms; numpy loads inspect and datetime.  The CLI parses without argparse
-# (and the gettext and locale it loads) and stamps without datetime.
+# submodules executed, deferred stdlib loaded].  A claim engine `cli` has
+# registered but not yet executed is a LazyLoader module, not a ModuleType.
+# `dataclasses` and `inspect` (which it imports, with ast, dis and tokenize)
+# cost every process about 25 ms; numpy loads inspect and datetime.  The CLI
+# parses without argparse (and the gettext and locale it loads) and stamps
+# without datetime.
 BOUNDARY_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, types
 import leetoric, leetoric.cli
 
 def state(code):
@@ -411,8 +412,9 @@ def state(code):
     heavy = loaded & {'numpy', 'scipy', 'importlib.metadata', 'dataclasses', 'inspect',
                       'argparse', 'gettext', 'locale', 'datetime'}
     deferred = loaded & {'csv', 'decimal', 'fractions', 'datetime'}
-    return [code, sorted(heavy), sorted(m for m in loaded if m.startswith('leetoric.')),
-            sorted(deferred)]
+    executed = (m for m, mod in sys.modules.items()
+                if m.startswith('leetoric.') and type(mod) is types.ModuleType)
+    return [code, sorted(heavy), sorted(executed), sorted(deferred)]
 
 out = [state(None)]
 for argv in json.loads(sys.argv[1]):
@@ -421,13 +423,23 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(out))
 """
 
-# `import leetoric.cli` loads every submodule: cli imports each module it
-# dispatches to at its top, because the perfbench tracer, installed after
-# that import, wraps only the functions of modules already loaded.
-SUBMODULES = [
-    f"leetoric.{m}"
-    for m in ("_version", "cli", "instances", "interleave", "lattices", "lee", "report", "toric")
-]
+# `import leetoric.cli` executes the code layer and cli.  It registers the
+# claim engines lazily, so each executes only when a command calls it: a
+# process pays the import of what its command runs, and the perfbench
+# tracer, installed after that import, still finds every engine in
+# sys.modules (test_tracer_wraps_every_engine_phase).
+CLI_MODULES = [f"leetoric.{m}" for m in ("_version", "cli", "instances", "lee")]
+
+# command words -> the claim engines its command executes
+EXECUTES = {
+    ("verify", "chain"): {"lattices"},
+    ("verify", "tiling"): set(),
+    ("verify", "stabilizers"): {"toric"},
+    ("mindist",): set(),
+    ("interleave", "verify"): {"interleave", "toric"},
+    ("tables",): {"report", "toric"},
+    ("decode",): set(),
+}
 
 NUMPY_FREE_COMMANDS = [
     (["verify", "chain", "--q", "9"], 0),
@@ -453,6 +465,11 @@ def run_boundary_probe(commands: list) -> list:
     return json.loads(proc.stdout)
 
 
+def _executed_after(argv: list, before: list) -> list:
+    key = next(key for key in EXECUTES if tuple(argv[: len(key)]) == key)
+    return sorted({*before, *(f"leetoric.{m}" for m in EXECUTES[key])})
+
+
 def _deferred_after(argv: list, before: list) -> list:
     # the table-only stdlib a command adds: the tables need decimal and
     # fractions, and csv for csv; a certificate adds none
@@ -466,15 +483,90 @@ def test_import_pulls_in_no_scipy_or_dist_metadata():
     # leetoric` loads none of csv, decimal or fractions; each loads with the
     # first command that prints what needs it.
     after_import, *runs = run_boundary_probe([argv for argv, _ in NUMPY_FREE_COMMANDS])
-    assert after_import == [None, [], SUBMODULES, []]
-    deferred, want = [], []
+    assert after_import == [None, [], CLI_MODULES, []]
+    executed, deferred, want = CLI_MODULES, [], []
     for argv, code in NUMPY_FREE_COMMANDS:
+        executed = _executed_after(argv, executed)
         deferred = _deferred_after(argv, deferred)
-        want.append([code, [], SUBMODULES, deferred])
+        want.append([code, [], executed, deferred])
     assert runs == want
     assert deferred == ["csv", "decimal", "fractions"]
     tables = ["tables", "--format", "csv"]
-    assert run_boundary_probe([tables])[1] == [0, [], SUBMODULES, ["csv", "decimal", "fractions"]]
+    executed = _executed_after(tables, CLI_MODULES)
+    assert run_boundary_probe([tables])[1] == [0, [], executed, ["csv", "decimal", "fractions"]]
+
+
+@pytest.mark.parametrize("key", COMMANDS, ids=" ".join)
+def test_each_command_executes_only_the_engines_it_calls(key):
+    # each command in its own fresh interpreter: the code layer, cli and the
+    # claim engines EXECUTES names, nothing else
+    argv = next(argv for argv, _ in NUMPY_FREE_COMMANDS if tuple(argv[: len(key)]) == key)
+    code, _, executed, _ = run_boundary_probe([argv])[1]
+    assert code == 0
+    assert executed == _executed_after(argv, CLI_MODULES)
+
+
+# Runs in a fresh interpreter.  `import leetoric.cli` registers each claim
+# engine unexecuted, in sys.modules and on the package as an import binds a
+# submodule; an import statement then finds that module object, which its
+# first attribute read executes.  Prints [engines left unexecuted by the
+# CLI's import, engines whose package attribute is not their sys.modules
+# entry, the commutation verdict read through the package].
+PARENT_PROBE = """
+import json, sys, types
+import leetoric.cli
+names = ('interleave', 'lattices', 'report', 'toric')
+lazy = [m for m in names if type(sys.modules[f'leetoric.{m}']) is not types.ModuleType]
+unbound = [m for m in names if getattr(leetoric, m) is not sys.modules[f'leetoric.{m}']]
+import leetoric.toric
+print(json.dumps([lazy, unbound, leetoric.toric.commutation_check(5, 2)]))
+"""
+
+
+def test_lazy_engines_are_bound_on_the_package():
+    proc = run_python("-c", PARENT_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [["interleave", "lattices", "report", "toric"], [], True]
+
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+# Runs in a fresh interpreter as a traced perfbench child does: import the
+# CLI, then perfbench/tracer.py by path, install it, run each argv given as
+# JSON in argv[2] and dump the spans, a marker and JSON, on stderr.
+TRACER_PROBE = """
+import contextlib, importlib.util, io, json, sys
+import leetoric.cli
+spec = importlib.util.spec_from_file_location('tracer', sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+tracer.install()
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        if leetoric.cli.run_cli(argv) != 0:
+            raise SystemExit(f'{argv} did not pass')
+tracer.dump()
+"""
+
+
+def test_tracer_wraps_every_engine_phase():
+    # the tracer installs before any command has executed an engine, and
+    # still times each phase the roadmap names
+    commands = [
+        ["verify", "chain", "--q", "7"],
+        ["verify", "stabilizers", "--q", "7", "--n", "3"],
+        ["interleave", "verify", "--q", "7", "--n", "3"],
+        ["tables", "--format", "csv"],
+    ]
+    proc = run_python("-c", TRACER_PROBE, str(TRACER), json.dumps(commands))
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stderr.splitlines()[-1].partition(" ")[2])
+    spans = {span[0] for span in record["spans"]}
+    assert spans >= {
+        "lattices.verify_chain", "lattices.coset_count", "toric.commutation_check",
+        "interleave.build_interleaver", "interleave.verify_burst_correction",
+        "report.emit_tables",
+    }
 
 
 # Runs in a fresh interpreter and prints what loads when: `import leetoric`

@@ -23,8 +23,7 @@ from pathlib import Path
 import pytest
 
 import leetoric
-from leetoric.cli import COMMANDS, run_cli
-from leetoric.report import FORMATS
+from leetoric.cli import COMMANDS, FORMATS, run_cli
 
 CORPUS = json.loads(Path(__file__).with_name("cli_corpus.json").read_text())
 SRC = str(Path(leetoric.__file__).resolve().parents[1])

@@ -16,7 +16,8 @@ from leetoric import (
     rate_gain,
     table_rows,
 )
-from leetoric.report import certificate_json, make_certificate, render_rate
+from leetoric.cli import certificate_json, make_certificate
+from leetoric.report import render_rate
 
 GOLDEN_CELLS = [
     (1, "0.00292", "0.01168"),
