@@ -7,7 +7,10 @@ whole grammar: the command words, then options as `--opt value` or
 `--opt=value`; -h or --help prints the usage it implies.  A verification
 handler prints nothing: it returns its claim as (claim, inputs, passed,
 counts), and run_cli alone stamps it as a VerificationCertificate, prints it
-and sets the exit code.
+and sets the exit code.  certificate_json writes the line itself, the bytes
+json.dumps would write, so a certificate process never loads json; it
+accepts only the value types a certificate holds and raises TypeError on
+any other rather than fall back to json.
 
 A process executes only the claim engines its command calls.  Importing
 this module registers `lattices`, `toric`, `interleave` and `report` in
@@ -81,9 +84,35 @@ def make_certificate(
 
 
 def certificate_json(cert: VerificationCertificate) -> str:
-    import json  # loads with the first certificate printed
+    """The certificate as one line, byte for byte what json.dumps writes.
 
-    return json.dumps(cert._asdict(), sort_keys=False)
+    A certificate holds only dicts with str keys, lists, strs, ints, bools
+    and None, so this short encoder writes it and a certificate process
+    never loads json (about 2 ms of regex compiling at its import).  Any
+    other value raises TypeError, a str that json would escape included
+    (a quote, a backslash, a control character or non-ASCII text): there is
+    no fallback to json, so no second path writes a certificate.
+    """
+    return _encode(cert._asdict())
+
+
+def _encode(value) -> str:
+    kind = type(value)
+    if kind is str:
+        # json.dumps writes printable ASCII verbatim, except '"' and '\\'
+        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+            return f'"{value}"'
+    elif kind is int:
+        return repr(value)
+    elif kind is bool:
+        return "true" if value else "false"
+    elif value is None:
+        return "null"
+    elif kind is list:
+        return f"[{', '.join(map(_encode, value))}]"
+    elif kind is dict and all(type(key) is str for key in value):
+        return "{" + ", ".join(f"{_encode(k)}: {_encode(v)}" for k, v in value.items()) + "}"
+    raise TypeError(f"not a certificate value: {value!r}")
 
 
 def _parse_int(text: str) -> int:

@@ -30,7 +30,7 @@ import math
 from collections import Counter
 from functools import cached_property
 from itertools import chain, compress, product, repeat, tee
-from operator import index
+from operator import index, itemgetter
 from typing import NamedTuple, Optional
 
 from .instances import certified_code, require_certified
@@ -196,7 +196,7 @@ def verify_burst_correction(
     alpha, anchors, sphere = imap.alpha, q**n, 2 * n + 1
     # tiles[a] = the blocks of anchor a's tile cells, in sphere order; only a
     # tile that repeats a block has failing patterns
-    tiles, keys = tee(zip(*(map(imap.block_of.__getitem__, row) for row in sphere_shifts(q, n))))
+    tiles, keys = tee(zip(*(itemgetter(*row)(imap.block_of) for row in sphere_shifts(q, n))))
     per_tile = (alpha + 1) ** sphere
     failures = 0
     max_block = 1  # a tile whose cells lie in distinct blocks

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import chain, repeat
-from operator import add, index, mod
+from operator import add, index, itemgetter, mod
 from typing import NamedTuple, Optional, Sequence
 
 Vec = tuple[int, ...]
@@ -80,7 +80,9 @@ class LeeCode:
         if len(self.codewords) * (2 * n + 1) != q**n:
             return None  # checked first: at q = 2, n = 20 the table is 41 x 2^20
         ranks = [_rank(c, q) for c in self.codewords]
-        rows = tuple(tuple(map(row.__getitem__, ranks)) for row in sphere_shifts(q, n))
+        # itemgetter of one rank returns the bare item, not a 1-tuple
+        take = itemgetter(*ranks) if len(ranks) > 1 else lambda row: (row[ranks[0]],)
+        rows = tuple(map(take, sphere_shifts(q, n)))
         hit = bytearray(q**n)  # in a fresh process this beats a set of the ranks
         for r in chain.from_iterable(rows):
             hit[r] = 1

@@ -10,7 +10,7 @@ alongside; it is a plain ratio, not dB, and reproduces the printed digits.
 
 from __future__ import annotations
 
-import json  # csv, decimal and fractions load where used (annotations are strings)
+# csv, decimal, fractions and json load where used (annotations are strings)
 from operator import index
 from typing import NamedTuple, Optional
 
@@ -231,6 +231,7 @@ def emit_tables(fmt: str) -> str:
         writer.writerows(map(_record, rows))
         return buf.getvalue()
     if fmt == "json-lines":
+        import json
         return "".join(
             json.dumps(dict(zip(_CSV_FIELDS, _record(r)))) + "\n" for r in rows
         )
@@ -245,6 +246,7 @@ def parse_tables(text: str, fmt: str) -> tuple[TableRow, ...]:
     """
     import csv
     import io
+    import json
     from fractions import Fraction
     if fmt == "csv":
         reader = csv.reader(io.StringIO(text))

@@ -97,9 +97,12 @@ def commutation_check(q: int, n: int) -> bool:
     of a (k+1)-cell, boundary_columns(q, n, k + 1).  dd = 0 pairs a Z row's
     2(k+1)·2k incidences: the facet without b at side sb of its cell without
     a at side sa is the one reached through b, then a.  Pairs are compared
-    as vectors over a Z block's anchors, and an anchor where one differs has
-    its incidence multiset counted, so doctored columns of boundary_columns'
-    shape are judged exactly.  Past MAX_INCIDENCES, ValueError comes first.
+    as vectors over a Z block's anchors: each column of the block is one
+    operator.itemgetter, which gathers in C the facets that column meets, so
+    all 2(k+1)·2k incidences of every anchor are still read.  An anchor
+    where a pair differs has its incidence multiset counted, so doctored
+    columns of boundary_columns' shape are judged exactly.  Past
+    MAX_INCIDENCES, ValueError comes first.
     """
     # the work is at least q**n >= 2**n: refuse a long n before any power
     long_n = q >= 2 and n > MAX_INCIDENCES.bit_length()
@@ -111,12 +114,14 @@ def commutation_check(q: int, n: int) -> bool:
     facets = [list(chain.from_iterable(c)) for c in zip(*boundary_columns(q, n, k))]
     for cols in boundary_columns(q, n, k + 1):
         odd = set()
+        # q**n >= 4 anchors, so each gather returns a tuple, not a bare item
+        take = [itemgetter(*col) for col in cols]
         # column 2a + sa is the cell without the anchor's a-th axis; for
         # a < b, the anchor's b-th axis is that cell's (b-1)-th
         for a, b in combinations(range(len(cols) // 2), 2):
             for sa, sb in product((0, 1), repeat=2):
-                via_a = list(map(facets[2 * b - 2 + sb].__getitem__, cols[2 * a + sa]))
-                via_b = list(map(facets[2 * a + sa].__getitem__, cols[2 * b + sb]))
+                via_a = take[2 * a + sa](facets[2 * b - 2 + sb])
+                via_b = take[2 * b + sb](facets[2 * a + sa])
                 if via_a != via_b:
                     odd.update(p for p, (x, y) in enumerate(zip(via_a, via_b)) if x != y)
         tallies = (Counter(s[col[p]] for col in cols for s in facets) for p in odd)

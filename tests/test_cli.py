@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import json
 import os
 import re
@@ -12,7 +13,7 @@ import pytest
 
 import leetoric
 from leetoric import cli, emit_tables, interleave, lattices, lee, toric
-from leetoric.cli import COMMANDS, FORMATS, main, run_cli
+from leetoric.cli import COMMANDS, FORMATS, certificate_json, main, make_certificate, run_cli
 
 SRC = str(Path(leetoric.__file__).resolve().parents[1])
 
@@ -650,3 +651,94 @@ def test_numpy_free_commands_run_without_numpy(capsys):
         normal = capsys.readouterr().out
         assert out and _without_timestamp(out) == _without_timestamp(normal), argv
 
+
+def certificate_commands() -> list:
+    """Every COMMANDS certificate command at both certified instances, with its exit code."""
+    commands = [(["verify", "tiling", "--q", "7", "--n", "3", "--generators", "1,1,0;0,1,1"], 1)]
+    for q, n in leetoric.CERTIFIED:
+        qn = ["--q", str(q), "--n", str(n)]
+        commands += [
+            (["verify", "chain", "--q", str(q)], 0),
+            (["verify", "tiling", *qn], 0),
+            (["verify", "stabilizers", *qn], 0),
+            (["mindist", *qn], 0),
+            (["interleave", "verify", *qn, "--exhaustive"], 0),
+            (["interleave", "verify", *qn, "--samples", "1000", "--seed", "3"], 0),
+            (["decode", *qn, "--point", ",".join(map(str, range(-2, n - 2)))], 0),
+        ]
+    keys = {key for key in COMMANDS for argv, _ in commands if tuple(argv[: len(key)]) == key}
+    assert keys == set(COMMANDS) - {("tables",)}
+    return commands
+
+
+# Runs in a fresh interpreter that imports no json itself: runs each command
+# given as one space-separated argv argument and prints, as a Python literal,
+# whether json is loaded after `import leetoric.cli` and then [exit code,
+# json loaded] after each command.
+JSON_PROBE = """
+import contextlib, io, sys
+import leetoric.cli
+out = ['json' in sys.modules]
+for arg in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        out.append([leetoric.cli.run_cli(arg.split()), 'json' in sys.modules])
+print(out)
+"""
+
+
+def test_only_json_lines_tables_load_json():
+    # a certificate is written without json, and so are the markdown and csv
+    # tables; only the json-lines tables load it
+    commands = [
+        *certificate_commands(),
+        *((["tables", "--format", fmt], 0) for fmt in ("markdown", "csv")),
+    ]
+    json_lines = ["tables", "--format", "json-lines"]
+    args = [" ".join(argv) for argv, _ in commands] + [" ".join(json_lines)]
+    proc = run_python("-c", JSON_PROBE, *args)
+    assert proc.returncode == 0, proc.stderr
+    after_import, *runs = ast.literal_eval(proc.stdout)
+    assert after_import is False
+    assert runs == [[code, False] for _, code in commands] + [[0, True]]
+
+
+def test_certificate_json_is_json_dumps(capsys, monkeypatch):
+    # json is the oracle: every printed certificate is json.dumps's bytes
+    printed = []
+    real = cli.certificate_json
+    monkeypatch.setattr(cli, "certificate_json", lambda cert: printed.append(cert) or real(cert))
+    commands = certificate_commands()
+    for argv, code in commands:
+        assert run_cli(argv) == code, argv
+        line = capsys.readouterr().out
+        assert line == json.dumps(printed[-1]._asdict()) + "\n", argv
+    assert len(printed) == len(commands)
+
+
+def test_certificate_json_crafted_values():
+    counts = {
+        "nested": [[1, [2, [], [[]]]], [{}], [{"a": [None]}]],
+        "ints": [0, -1, -(2**70), 2**100, 10**30 + 7],
+        "empty_list": [],
+        "empty_dict": {},
+        "none": None,
+        "bools": [True, False],
+        "str": " printable ASCII: ~!#$%&'()*+,-./09:;<=>?@AZ[]^_`az{|}",
+        "": "",
+    }
+    cert = make_certificate("crafted", {"q": -3, "flag": False}, True, counts)
+    assert certificate_json(cert) == json.dumps(cert._asdict())
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, float("nan"), {1: 2}, {"a": {(0,): 1}}, "a\"b", "a\\b", "tab\there", "\x7f",
+     "caf\u00e9", "\u2212", {"quo\"te": 1}, (1, 2), [1, b"x"], {"s": {1}}],
+    ids=["float", "nan", "int-key", "tuple-key", "quote", "backslash", "control", "del",
+         "latin", "non-latin", "escaped-key", "tuple", "bytes", "set"],
+)
+def test_certificate_json_refuses_other_values(value):
+    # no fallback to json: a value json would write otherwise, or escape, is refused
+    cert = make_certificate("crafted", {}, True, {"value": value})
+    with pytest.raises(TypeError):
+        certificate_json(cert)

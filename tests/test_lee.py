@@ -290,6 +290,16 @@ def test_tiling_certified_codes(code3, code4, code52):
     assert shifted_code3().placement == code3.placement
 
 
+def test_one_codeword_code_places_one_tuple_per_row():
+    # itemgetter of a single rank returns the bare item; placement rows stay
+    # 1-tuples, so the one-codeword code of Z_3 tiles and decodes
+    code = enumerate_codewords(((0,),), 3, 1)
+    assert code.codewords == ((0,),)
+    assert code.placement == ((0,), (1,), (2,))
+    assert tiling_check(code)
+    assert decode_nearest((2,), code) == lee.DecodeResult((0,), 2)
+
+
 def test_tiling_rejects_overlapping_code():
     code = enumerate_codewords(((1, 1, 0), (0, 1, 1)), 7, 3)
     assert len(code.codewords) == 49
