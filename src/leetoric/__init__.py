@@ -6,15 +6,17 @@ integer lattices, perfect radius-1 Lee-sphere codes and their tilings,
 stabilizer supports on periodic hypercubic complexes, a burst interleaver,
 and the rate/gain tables of the resulting codes.
 
-`import leetoric` loads the code layer only: `_version`, `instances` and
-`lee`, which is all a decoding process calls.  The names of the claim
-engines (`lattices`, `toric`, `interleave`, `report`) and the certificate
-record (`cli`) load their module on first access and are then cached here.
-`cli` registers the four claim engines as lazy modules, so a CLI process
-executes only those its command calls.
+`import leetoric` loads the code layer only: `instances` and `lee`, which
+is all a decoding process calls.  The names of the claim engines
+(`lattices`, `toric`, `interleave`, `report`) and the certificate record
+(`cli`) load their module on first access and are then cached here; _LAZY
+names each with its module, and __all__ is the eager names and _LAZY's keys,
+sorted.  `cli` registers the four claim engines as lazy modules, so a CLI
+process executes only those its command calls.
 """
 
-from ._version import __version__
+__version__ = "0.1.0"  # read by setuptools and stamped on every certificate
+
 from .instances import CERTIFIED, certified_code, code_generators, scaling_matrix
 from .lee import (
     DecodeResult,
@@ -49,47 +51,11 @@ _LAZY = {
     "commutation_check": "toric",
 }
 
-__all__ = [
-    "BurstSweepSummary",
-    "CERTIFIED",
-    "ChainReport",
-    "CodeParams",
-    "DecodeResult",
-    "IntMatrix",
-    "InterleaverMap",
-    "LeeCode",
-    "LeeSphere",
-    "LogicalIndex",
-    "PhysicalSlot",
-    "RateGain",
-    "TableRow",
-    "VerificationCertificate",
-    "all_burst_translates",
-    "build_interleaver",
-    "certified_code",
-    "code_generators",
-    "commutation_check",
-    "coset_count",
-    "decode_nearest",
-    "determinant",
-    "emit_tables",
-    "enumerate_codewords",
-    "hermite_form",
-    "interleaved_params",
-    "lee_sphere",
-    "literature_params",
-    "mannheim_weight",
-    "minimum_distance",
-    "new_code_params",
-    "parse_tables",
-    "rate_gain",
-    "scaling_matrix",
-    "symmetric_residue",
-    "table_rows",
-    "tiling_check",
-    "verify_burst_correction",
-    "verify_chain",
-]
+__all__ = sorted([
+    "CERTIFIED", "DecodeResult", "LeeCode", "LeeSphere", "certified_code", "code_generators",
+    "decode_nearest", "enumerate_codewords", "lee_sphere", "mannheim_weight",
+    "minimum_distance", "scaling_matrix", "symmetric_residue", "tiling_check", *_LAZY,
+])
 
 
 def __getattr__(name: str):

@@ -18,13 +18,13 @@ from .lee import LeeCode, enumerate_codewords
 if TYPE_CHECKING:
     from .lattices import IntMatrix
 
-CERTIFIED: tuple[tuple[int, int], ...] = ((7, 3), (9, 4))
-
 # rows of the scaling matrices; lattices loads only when one is asked for
 _SCALING = {
     (7, 3): ((0, 2, 1), (0, 1, 4), (1, 0, 2)),
     (9, 4): ((0, 0, 1, 6), (0, 0, -1, 3), (0, 1, 1, 1), (1, 0, 0, 2)),
 }
+
+CERTIFIED: tuple[tuple[int, int], ...] = tuple(_SCALING)
 
 _GENERATORS = {
     (7, 3): ((0, 1, 4), (1, 0, 2)),

@@ -6,6 +6,7 @@ at four decimal places, widened one place at a time until at least three
 significant digits survive.  The printed gain is the exact decimal product
 rounded-rate x (t+1), trailing zeros trimmed, with the exact G = R(t+1)
 alongside; it is a plain ratio, not dB, and reproduces the printed digits.
+Both renderings are always fixed-point, however small the rate.
 """
 
 from __future__ import annotations
@@ -107,43 +108,23 @@ class TableRow(NamedTuple):
     gain_exact: Fraction
 
 
-def _round_half_even(value: Fraction, places: int) -> Decimal:
-    from decimal import Decimal
-    scaled = value * 10**places
-    quot, rem = divmod(scaled.numerator, scaled.denominator)
-    twice = 2 * rem
-    if twice > scaled.denominator or (twice == scaled.denominator and quot % 2):
-        quot += 1
-    return Decimal(quot).scaleb(-places)
-
-
-def _significant_digits(rendered: str) -> int:
-    return len(rendered.replace("-", "").replace(".", "").lstrip("0"))
-
-
 _RATE_PLACES = 4
-_MIN_SIGNIFICANT = 3
 
 
 def render_rate(rate: Fraction) -> str:
-    """Half-even decimal rendering, widened until enough digits survive.
+    """Half-even fixed-point rendering, widened until three digits survive.
 
-    Starts at _RATE_PLACES places and widens, to at most twelve, until
-    _MIN_SIGNIFICANT significant digits survive.
+    Starts at _RATE_PLACES places and widens one place at a time until the
+    rounded rate has three significant digits; round is Fraction's exact
+    half-even rounding, so any positive rate gets there.
     """
+    from decimal import Decimal
     if rate <= 0:
         raise ValueError("rate must be positive")
-    for places in range(_RATE_PLACES, 13):
-        s = str(_round_half_even(rate, places))
-        if _significant_digits(s) >= _MIN_SIGNIFICANT:
-            break
-    return s
-
-
-def _trim_zeros(rendered: str) -> str:
-    if "." in rendered:
-        rendered = rendered.rstrip("0").rstrip(".")
-    return rendered
+    places = _RATE_PLACES
+    while (digits := round(rate * 10**places)) < 100:
+        places += 1
+    return f"{Decimal(digits).scaleb(-places):f}"
 
 
 def rate_gain(p: CodeParams) -> RateGain:
@@ -153,7 +134,7 @@ def rate_gain(p: CodeParams) -> RateGain:
     rate = Fraction(p.k, p.n_code)
     gain = rate * (p.t + 1)
     rate_printed = render_rate(rate)
-    gain_printed = _trim_zeros(str(Decimal(rate_printed) * (p.t + 1)))
+    gain_printed = f"{(Decimal(rate_printed) * (p.t + 1)).normalize():f}"
     return RateGain(rate, gain, rate_printed, gain_printed)
 
 

@@ -62,12 +62,14 @@ ARGVS = [
     [],
     ["--q", "7"],
     ["bogus"],
+    ["bogus", "--help"],
     ["verify"],
     ["verify", "chain"],
     ["verify", "chain", "--q", "5"],
     ["verify", "chain", "--q", "x"],
     ["verify", "chain", "--q", "7", "--q", "9"],
     ["verify", "tiling", "--q", "7", "--n", "3", "--gen", "1,1,0;0,1,1"],
+    ["verify", "tiling", "--q", "7", "--n", "3", "--generators", "1,x"],
     ["mindist", "--q", "7", "--n", "3", "--bogus", "1"],
     ["mindist", "--q", "7", "--n", "3", "extra"],
     ["mindist", "--q", "7"],

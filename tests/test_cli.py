@@ -429,7 +429,7 @@ print(json.dumps(out))
 # process pays the import of what its command runs, and the perfbench
 # tracer, installed after that import, still finds every engine in
 # sys.modules (test_tracer_wraps_every_engine_phase).
-CLI_MODULES = [f"leetoric.{m}" for m in ("_version", "cli", "instances", "lee")]
+CLI_MODULES = [f"leetoric.{m}" for m in ("cli", "instances", "lee")]
 
 # command words -> the claim engines its command executes
 EXECUTES = {
@@ -609,14 +609,14 @@ def test_import_leetoric_loads_only_the_code_layer():
     proc = run_python("-c", LAZY_PROBE)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert out["import"] == ["_version", "instances", "lee"]
+    assert out["import"] == ["instances", "lee"]
     assert out["stdlib"] == []
     assert out["dir"] == []
-    assert out["unknown"] == ["_version", "instances", "lee"]
-    assert out["verify_chain"] == ["_version", "instances", "lattices", "lee"]
+    assert out["unknown"] == ["instances", "lee"]
+    assert out["verify_chain"] == ["instances", "lattices", "lee"]
     # the tables read the paper's records from report, which needs toric's
     # qubit counts but no interleaver
-    assert out["table_rows"] == ["_version", "instances", "lattices", "lee", "report", "toric"]
+    assert out["table_rows"] == ["instances", "lattices", "lee", "report", "toric"]
     assert out["differ"] == [] and len(leetoric.__all__) == 39
 
 

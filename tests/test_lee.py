@@ -25,6 +25,7 @@ from leetoric import (
     symmetric_residue,
     tiling_check,
 )
+from leetoric import instances
 from leetoric.instances import require_certified
 from leetoric import lee
 from leetoric.lee import sphere_shifts
@@ -134,6 +135,13 @@ def test_enumeration_agrees_with_matrix_row_closure(code3, code4):
     rows4 = scaling_matrix(9, 4).rows
     alt4 = enumerate_codewords(rows4, 9, 4)
     assert set(alt4.codewords) == set(code4.codewords)
+
+
+def test_certified_instances_share_one_key_order():
+    # CERTIFIED is the scaling matrices' keys; the generators list the same
+    # instances in the same order
+    assert CERTIFIED == ((7, 3), (9, 4))
+    assert tuple(instances._GENERATORS) == tuple(instances._SCALING) == CERTIFIED
 
 
 def test_enumeration_membership_example(code3):

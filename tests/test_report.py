@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +53,57 @@ def test_render_rate_widens_until_significant():
     assert render_rate(Fraction(1, 2)) == "0.5000"
     with pytest.raises(ValueError):
         render_rate(Fraction(0, 5))
+
+
+def test_render_rate_stays_fixed_point_below_a_millionth():
+    # Decimal's str would write these as 1E-7 and 1E-13
+    assert render_rate(Fraction(1, 10**7)) == "0.000000100"
+    assert render_rate(Fraction(1, 10**13)) == "0.000000000000100"
+    assert rate_gain(CodeParams(10**7, 1, None, 1)).gain_printed == "0.0000002"
+    assert rate_gain(CodeParams(10**11, 1, None, 0)).rate_printed == "0.0000000000100"
+
+
+def _significant(rendered: str) -> int:
+    return len(rendered.replace(".", "").lstrip("0"))
+
+
+def test_every_small_rate_renders_fixed_point_with_three_digits():
+    # every k/N with k < 40 and N < 3000, then gains at every t <= 44 for a
+    # stride of those N: no exponent, and the gain is the printed rate's
+    # exact multiple
+    for n_code in range(1, 3000):
+        for k in range(1, min(n_code, 39) + 1):
+            rendered = render_rate(Fraction(k, n_code))
+            assert "E" not in rendered and _significant(rendered) >= 3, (k, n_code)
+    for n_code in range(1, 3000, 97):
+        for k in range(1, min(n_code, 39) + 1):
+            for t in range(45):
+                rg = rate_gain(CodeParams(n_code, k, None, t))
+                assert "E" not in rg.gain_printed, (k, n_code, t)
+                assert Decimal(rg.gain_printed) == Decimal(rg.rate_printed) * (t + 1)
+
+
+# Runs in a fresh interpreter: setuptools reads the version attribute that
+# pyproject.toml names from the source, without importing the package, and
+# prints [the version, whether leetoric was imported].
+READ_ATTR_PROBE = """
+import json, sys
+from setuptools.config.expand import read_attr
+version = read_attr('leetoric.__version__', {'': 'src'}, sys.argv[1])
+print(json.dumps([version, 'leetoric' in sys.modules]))
+"""
+
+
+def test_setuptools_reads_the_version_statically():
+    pytest.importorskip("setuptools.config.expand")
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", READ_ATTR_PROBE, str(root)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [__version__, False]
+    assert 'attr = "leetoric.__version__"' in (root / "pyproject.toml").read_text()
 
 
 def test_rate_gain_exact_invariants():
