@@ -3,8 +3,9 @@
 A sublattice is presented by a square integer matrix whose rows generate it:
 the lattice is {x . M : x integer row vector}.  Everything here is exact
 integer arithmetic (Python ints, so no overflow and no rounding): fraction-free
-determinants, row-style Hermite normal form, coset counting, and
-certification of nested chains Z^n > M Z^n > q Z^n.
+determinants, row-style Hermite normal form by Euclid's row reduction (the
+form is unique, so the reduction's route cannot change it), coset counting,
+and certification of nested chains Z^n > M Z^n > q Z^n.
 """
 
 from __future__ import annotations
@@ -71,46 +72,25 @@ def determinant(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended gcd: returns (g, s, t) with s*a + t*b = g >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_s, s = s, old_s - quot * s
-        old_t, t = t, old_t - quot * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def hermite_form(m: IntMatrix) -> IntMatrix:
     """Canonical row Hermite normal form of a nonsingular matrix.
 
     H is upper triangular with positive diagonal pivots, and every entry
-    above a pivot is reduced into [0, pivot).  Each step is a unimodular row
-    operation, so the row spans of H and m coincide, which is what coset
-    counting and the chain's inclusion test rely on.
+    above a pivot is reduced into [0, pivot).  Euclid's subtract-and-swap
+    clears each column below its pivot, leaving the gcd in the pivot row.
+    Each step is a unimodular row operation, so the row spans of H and m
+    coincide, which is what coset counting and the chain's inclusion test
+    rely on; that H is unique makes the result independent of the steps.
     """
     n = m.n
     a = [list(r) for r in m.rows]
     for c in range(n):
-        piv = next((r for r in range(c, n) if a[r][c] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[c], a[piv] = a[piv], a[c]
         for r in range(c + 1, n):
-            if a[r][c] == 0:
-                continue
-            g, s, t = _xgcd(a[c][c], a[r][c])
-            p, q = a[c][c] // g, a[r][c] // g
-            # 2x2 unimodular row transform: det(s*p + t*q) = g/g = 1.
-            a[c], a[r] = (
-                [s * x + t * y for x, y in zip(a[c], a[r])],
-                [-q * x + p * y for x, y in zip(a[c], a[r])],
-            )
+            while a[r][c]:
+                f = a[c][c] // a[r][c]
+                a[c], a[r] = a[r], [x - f * y for x, y in zip(a[c], a[r])]
+        if a[c][c] == 0:
+            raise ValueError("singular matrix")
         if a[c][c] < 0:
             a[c] = [-x for x in a[c]]
         for r in range(c):

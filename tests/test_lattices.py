@@ -165,10 +165,14 @@ def test_records_are_immutable_tuples():
 
 def test_hermite_form_properties():
     rng = random.Random(11)
-    checked = negative = 0
-    while checked < 60:
+    checked = negative = singular = 0
+    # singular draws are rare: none come before the 60th nonsingular one
+    while checked < 60 or singular < 10:
         m = random_matrix(rng, rng.choice((1, 2, 3, 4)))
         if det_oracle(m) == 0:
+            singular += 1
+            with pytest.raises(ValueError, match="singular matrix"):
+                hermite_form(m)
             continue
         checked += 1
         negative += any(x < 0 for row in m.rows for x in row)
@@ -194,6 +198,12 @@ def test_hermite_form_frozen_values():
     assert hermite_form(M4).rows == (
         (1, 0, 0, 2), (0, 1, 0, 4), (0, 0, 1, 6), (0, 0, 0, 9),
     )
+    # a zero leading entry, negative entries, two zero leading entries
+    assert hermite_form(IntMatrix(((0, 3), (2, 1)))).rows == ((2, 1), (0, 3))
+    assert hermite_form(IntMatrix(((-4, 6), (6, -4)))).rows == ((2, 2), (0, 10))
+    assert hermite_form(IntMatrix(((0, 0, 5), (0, 2, 1), (3, 1, 1)))).rows == (
+        (3, 1, 1), (0, 2, 1), (0, 0, 5),
+    )
 
 
 def test_hermite_identity_fixed_point():
@@ -204,6 +214,9 @@ def test_hermite_identity_fixed_point():
 def test_hermite_singular_raises():
     with pytest.raises(ValueError, match="singular matrix"):
         hermite_form(IntMatrix(((1, 2), (2, 4))))
+    # no zero column: the second column vanishes only once the first is reduced
+    with pytest.raises(ValueError, match="singular matrix"):
+        hermite_form(IntMatrix(((2, 4, 1), (1, 2, 3), (3, 6, 4))))
 
 
 def test_contains_frozen_memberships():
