@@ -12,9 +12,10 @@ json.dumps would write, so a certificate process never loads json; it
 accepts only the value types a certificate holds and raises TypeError on
 any other rather than fall back to json.
 
-A process executes only the claim engines its command calls.  Importing
-this module registers `lattices`, `toric`, `interleave` and `report` in
-sys.modules through importlib's LazyLoader, and each executes on its first
+A process executes only the modules its command calls.  Importing this
+module executes `instances`, whose CERTIFIED the grammar reads, and binds
+`interleave`, `lattices`, `lee`, `report` and `toric` as the package
+registers them, unexecuted (leetoric._load); each executes on its first
 attribute read, so handlers call through the module.  perfbench's tracer,
 installed after this import, still finds every module in sys.modules and
 wraps its functions: its first read of one executes it.
@@ -24,30 +25,11 @@ from __future__ import annotations
 
 import sys
 import time
-from importlib.util import LazyLoader, find_spec, module_from_spec
 from itertools import takewhile
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from . import __version__
+from . import __version__, interleave, lattices, lee, report, toric
 from .instances import CERTIFIED, certified_code, code_generators, scaling_matrix
-from .lee import decode_nearest, enumerate_codewords, minimum_distance, tiling_check
-
-
-def _lazy(name: str):
-    """The submodule leetoric.<name>, to be executed on its first attribute read."""
-    fullname = f"{__package__}.{name}"
-    if fullname in sys.modules:
-        return sys.modules[fullname]
-    spec = find_spec(fullname)
-    spec.loader = LazyLoader(spec.loader)
-    module = sys.modules[fullname] = module_from_spec(spec)
-    spec.loader.exec_module(module)
-    # bound on the package as an import binds it, so `leetoric.toric` reads it
-    setattr(sys.modules[__package__], name, module)
-    return module
-
-
-interleave, lattices, report, toric = map(_lazy, ("interleave", "lattices", "report", "toric"))
 
 FORMATS = ("markdown", "csv", "json-lines")  # what report.emit_tables writes
 
@@ -170,10 +152,10 @@ def _cmd_tiling(q: int, n: int, generators=None) -> tuple:
     if generators is None:
         code, generators = certified_code(q, n), code_generators(q, n)
     else:
-        code = enumerate_codewords(generators, q, n)
+        code = lee.enumerate_codewords(generators, q, n)
     inputs = {"q": q, "n": n, "generators": [list(g) for g in generators]}
     counts = {"codewords": len(code.codewords), "points": q**n}
-    return "perfect-tiling", inputs, tiling_check(code), counts
+    return "perfect-tiling", inputs, lee.tiling_check(code), counts
 
 
 def _cmd_mindist(q: int, n: int) -> tuple:
@@ -181,8 +163,8 @@ def _cmd_mindist(q: int, n: int) -> tuple:
     code = certified_code(q, n)
     # a perfect radius-1 tiling forces d = 3: its spheres are disjoint, and a
     # point at distance 2 from a codeword lies in another codeword's sphere
-    expected = 3 if tiling_check(code) else None
-    d = minimum_distance(code)
+    expected = 3 if lee.tiling_check(code) else None
+    d = lee.minimum_distance(code)
     counts = {"distance": d, "expected": expected}
     return "minimum-distance", {"q": q, "n": n}, d == expected, counts
 
@@ -211,7 +193,7 @@ def _cmd_tables(format: str) -> None:
 
 def _cmd_decode(q: int, n: int, point: tuple[int, ...]) -> tuple:
     """decode a point of a certified code"""
-    res = decode_nearest(point, certified_code(q, n))
+    res = lee.decode_nearest(point, certified_code(q, n))
     counts = {
         "codeword": list(res.codeword),
         "offset_index": res.offset_index,

@@ -33,9 +33,8 @@ from itertools import chain, compress, product, repeat, tee
 from operator import index, itemgetter
 from typing import NamedTuple, Optional
 
-from .instances import certified_code, require_certified
+from .instances import certified_code, qubits_per_vertex, require_certified
 from .lee import LeeCode, _require_points, sphere_shifts
-from .toric import qubits_per_vertex
 
 Vec = tuple[int, ...]
 

@@ -15,8 +15,7 @@ from __future__ import annotations
 from operator import index
 from typing import NamedTuple, Optional
 
-from .instances import CERTIFIED, require_certified
-from .toric import qubit_cell_dim, qubits_per_vertex
+from .instances import CERTIFIED, qubit_cell_dim, qubits_per_vertex, require_certified
 
 
 class CodeParams(

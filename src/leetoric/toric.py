@@ -1,10 +1,11 @@
 """Cell structure of the q^n torus and the stabilizer commutation check.
 
 Qubits live on the axis-aligned 2-cells of the periodic q^n cubical complex
-for n >= 3, and on edges in two dimensions.  A qubit cell's index is its
-axes block (sorted axes subsets, lexicographic) times q^n plus the row-major
-rank of its lower corner, and cells of every other dimension are indexed
-alike.  One builder, boundary_columns, gives the facets of every d-cell,
+for n >= 3, and on edges in two dimensions (instances.qubit_cell_dim, kept
+there so that report and interleave need not execute this module).  A qubit
+cell's index is its axes block (sorted axes subsets, lexicographic) times
+q^n plus the row-major rank of its lower corner, and cells of every other
+dimension are indexed alike.  One builder, boundary_columns, gives the facets of every d-cell,
 their +e_a corners read off the torus table lee.sphere_shifts.  An X-type
 operator acts on the qubit cells that share a facet (d = k), a Z-type one
 on the boundary of a cell one dimension up (d = k + 1), and commutation is
@@ -18,19 +19,8 @@ from itertools import chain, combinations, product
 from math import comb
 from operator import index, itemgetter
 
+from .instances import qubit_cell_dim, qubits_per_vertex
 from .lee import sphere_shifts
-
-
-def qubit_cell_dim(n: int) -> int:
-    """Dimension of the cells carrying qubits: 2-cells, except edges in 2D."""
-    if n < 2:
-        raise ValueError("torus dimension must be at least 2")
-    return 2 if n >= 3 else 1
-
-
-def qubits_per_vertex(n: int) -> int:
-    """alpha = C(n, k): one qubit cell per k-subset of axes at each vertex."""
-    return comb(n, qubit_cell_dim(n))
 
 
 def axes_tuples(n: int, k: int) -> tuple[tuple[int, ...], ...]:

@@ -424,22 +424,23 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(out))
 """
 
-# `import leetoric.cli` executes the code layer and cli.  It registers the
-# claim engines lazily, so each executes only when a command calls it: a
-# process pays the import of what its command runs, and the perfbench
-# tracer, installed after that import, still finds every engine in
-# sys.modules (test_tracer_wraps_every_engine_phase).
-CLI_MODULES = [f"leetoric.{m}" for m in ("cli", "instances", "lee")]
+# `import leetoric.cli` executes cli and `instances`, whose CERTIFIED the
+# grammar reads.  Every other submodule is registered lazily, so each
+# executes only when a command calls it: a process pays the import of what
+# its command runs, and the perfbench tracer, installed after that import,
+# still finds every module in sys.modules
+# (test_tracer_wraps_every_engine_phase).
+CLI_MODULES = [f"leetoric.{m}" for m in ("cli", "instances")]
 
-# command words -> the claim engines its command executes
+# command words -> the modules its command executes
 EXECUTES = {
     ("verify", "chain"): {"lattices"},
-    ("verify", "tiling"): set(),
-    ("verify", "stabilizers"): {"toric"},
-    ("mindist",): set(),
-    ("interleave", "verify"): {"interleave", "toric"},
-    ("tables",): {"report", "toric"},
-    ("decode",): set(),
+    ("verify", "tiling"): {"lee"},
+    ("verify", "stabilizers"): {"lee", "toric"},
+    ("mindist",): {"lee"},
+    ("interleave", "verify"): {"interleave", "lee"},
+    ("tables",): {"report"},
+    ("decode",): {"lee"},
 }
 
 NUMPY_FREE_COMMANDS = [
@@ -555,6 +556,9 @@ def test_tracer_wraps_every_engine_phase():
     # still times each phase the roadmap names
     commands = [
         ["verify", "chain", "--q", "7"],
+        ["verify", "tiling", "--q", "7", "--n", "3"],
+        ["mindist", "--q", "7", "--n", "3"],
+        ["decode", "--q", "7", "--n", "3", "--point", "1,2,3"],
         ["verify", "stabilizers", "--q", "7", "--n", "3"],
         ["interleave", "verify", "--q", "7", "--n", "3"],
         ["tables", "--format", "csv"],
@@ -564,23 +568,60 @@ def test_tracer_wraps_every_engine_phase():
     record = json.loads(proc.stderr.splitlines()[-1].partition(" ")[2])
     spans = {span[0] for span in record["spans"]}
     assert spans >= {
-        "lattices.verify_chain", "lattices.coset_count", "toric.commutation_check",
+        "lattices.verify_chain", "lattices.coset_count", "lee.tiling_check",
+        "lee.minimum_distance", "toric.commutation_check",
         "interleave.build_interleaver", "interleave.verify_burst_correction",
         "report.emit_tables",
     }
 
 
-# Runs in a fresh interpreter and prints what loads when: `import leetoric`
-# alone, then `dir`, an unknown name, `verify_chain` and `table_rows`; then
-# the public names whose attribute, `from leetoric import` value and home
-# module's object (CERTIFIED, a tuple, has no __module__ and lives in
-# instances) are not one object.  json loads only to print the result.
+# Runs in a fresh interpreter as perfbench's decode-stream child does: a bare
+# `import leetoric`, then perfbench/tracer.py by path, installed; then both
+# certified codes built and a few points decoded through the package's names,
+# and the spans dumped on stderr.
+STREAM_TRACER_PROBE = """
+import importlib.util, sys
+import leetoric
+spec = importlib.util.spec_from_file_location('tracer', sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+tracer.install()
+from leetoric import certified_code, decode_nearest
+codes = {7: certified_code(7, 3), 9: certified_code(9, 4)}
+for point in ((1, 2, 3), (-1, 0, 5), (1, 2, 3, 4), (0, 0, 0, 9), (3, 3, 3)):
+    decode_nearest(point, codes[9 if len(point) == 4 else 7])
+tracer.dump()
+"""
+
+
+def test_tracer_wraps_the_code_layer_after_a_bare_import():
+    # `import leetoric` registers instances and lee, unexecuted, so the tracer
+    # finds them in sys.modules and the names read after it are its wrappers
+    proc = run_python("-c", STREAM_TRACER_PROBE, str(TRACER))
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stderr.splitlines()[-1].partition(" ")[2])
+    spans = [span[0] for span in record["spans"]]
+    assert spans.count("instances.certified_code") == 2
+    assert spans.count("lee.enumerate_codewords") == 2
+    assert spans.count("lee.decode_nearest.first") == 2
+    leaves = {name: calls for name, _, calls, _ in record["leaves"]}
+    assert leaves == {"lee.decode_nearest.warm": 3}
+
+
+# Runs in a fresh interpreter and prints which submodules have executed
+# when: `import leetoric` alone, then `dir`, an unknown name, `verify_chain`
+# and `table_rows`; then the public names whose attribute, `from leetoric
+# import` value and home module's object (CERTIFIED, a tuple, has no
+# __module__ and lives in instances) are not one object.  A submodule
+# registered but not yet executed is a LazyLoader module, not a ModuleType.
+# json loads only to print the result.
 LAZY_PROBE = """
-import sys
+import sys, types
 import leetoric
 
 def submodules():
-    return sorted(m[len('leetoric.'):] for m in sys.modules if m.startswith('leetoric.'))
+    return sorted(m[len('leetoric.'):] for m, mod in sys.modules.items()
+                  if m.startswith('leetoric.') and type(mod) is types.ModuleType)
 
 out = {'import': submodules(), 'stdlib': sorted({'json', 'numpy'} & set(sys.modules))}
 out['dir'] = sorted(set(leetoric.__all__) - set(dir(leetoric)))
@@ -604,19 +645,19 @@ print(json.dumps(out))
 
 
 def test_import_leetoric_loads_only_the_code_layer():
-    # a decoding process compiles no claim engine: each loads with the first
+    # `import leetoric` executes no submodule: each executes with the first
     # public name read from it, and the tracer's swaps by identity still hold
     proc = run_python("-c", LAZY_PROBE)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert out["import"] == ["instances", "lee"]
+    assert out["import"] == []
     assert out["stdlib"] == []
     assert out["dir"] == []
-    assert out["unknown"] == ["instances", "lee"]
-    assert out["verify_chain"] == ["instances", "lattices", "lee"]
-    # the tables read the paper's records from report, which needs toric's
-    # qubit counts but no interleaver
-    assert out["table_rows"] == ["instances", "lattices", "lee", "report", "toric"]
+    assert out["unknown"] == []
+    assert out["verify_chain"] == ["lattices"]
+    # the tables read the paper's records from report, which takes the qubit
+    # counts from instances and needs neither lee, toric nor the interleaver
+    assert out["table_rows"] == ["instances", "lattices", "report"]
     assert out["differ"] == [] and len(leetoric.__all__) == 39
 
 
