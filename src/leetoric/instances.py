@@ -5,8 +5,9 @@ instances that are actually certified end to end: the 7^3 torus built from a
 determinant-7 scaling matrix, and the 9^4 torus built from a determinant-9
 one.  The Lee-code generators listed here are rows of those matrices reduced
 mod q (the omitted rows are redundant mod q, which the tests confirm).  The
-qubit layout that toric, interleave and report read lives here too, so the
-tables execute neither lee nor toric; lee and lattices load on first use.
+qubit layout, which cells carry qubits, is defined here too, so that report
+and interleave read it without executing toric; lee and lattices load on
+first use.
 """
 
 from __future__ import annotations

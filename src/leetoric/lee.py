@@ -24,7 +24,7 @@ the other; test_sphere_shifts_match_per_point_oracle pins their agreement.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import chain, filterfalse, repeat
+from itertools import chain, repeat
 from operator import add, index, itemgetter, mod
 from typing import NamedTuple, Optional, Sequence
 
@@ -148,8 +148,6 @@ def enumerate_codewords(generators: Sequence[Sequence[int]], q: int, n: int) -> 
     addition.  Enumeration order is stable: breadth-first from 0, generators
     applied in the order given.  Entries, q and n must be integers
     (operator.index): a float or a string raises TypeError, not truncation.
-    One pass sums a layer with each generator column by column in C, p-major
-    as the queue BFS would, and keeps each new sum in its first place.
     """
     if len(generators) == 0:  # an array has no truth value
         raise ValueError("generators must be nonempty")
@@ -160,18 +158,15 @@ def enumerate_codewords(generators: Sequence[Sequence[int]], q: int, n: int) -> 
         if len(g) != n:
             raise ValueError("generator dimension mismatch")
         gens.append(tuple(index(x) % q for x in g))
-    layer = [(0,) * n]
-    seen = dict.fromkeys(layer)  # the codewords so far, in order
-    while layer:
-        columns = tuple(zip(*layer))
-        steps = [
-            zip(*[map(mod, map(add, col, repeat(x)), repeat(q)) for col, x in zip(columns, g)])
-            for g in gens
-        ]
-        sums = dict.fromkeys(chain.from_iterable(zip(*steps)))  # each sum once, in order
-        layer = list(filterfalse(seen.__contains__, sums))
-        seen.update(dict.fromkeys(layer))
-    return LeeCode(q=q, n=n, generators=tuple(gens), codewords=tuple(seen))
+    zero, qs = (0,) * n, (q,) * n
+    seen, order = {zero}, [zero]
+    for p in order:  # the queue: a list iterator sees what is appended to it
+        for g in gens:
+            s = tuple(map(mod, map(add, p, g), qs))
+            if s not in seen:
+                seen.add(s)
+                order.append(s)
+    return LeeCode(q=q, n=n, generators=tuple(gens), codewords=tuple(order))
 
 
 def minimum_distance(code: LeeCode) -> int:
@@ -199,27 +194,16 @@ def sphere_shifts(q: int, n: int) -> tuple[tuple[int, ...], ...]:
 
     Row k maps the row-major rank of each x in Z_q^n to the rank of
     x + offsets[k]: row 0 is the identity, rows 2a+1, 2a+2 step +e_a, -e_a,
-    rotating each run of q^(n-a) ranks by q^(n-1-a): run by run, or, when
-    that takes more slices, as one rotation of all ranks and a strided slice
-    per offset that wraps within its run.  Cached per (q, n).
+    rotating each run of q^(n-a) ranks by q^(n-1-a).  Cached per (q, n).
     """
     q, n = index(q), index(n)
     _require_points(q, n)
-    size = q**n
-    ranks, rows = tuple(range(size)), []
+    ranks, rows = tuple(range(q**n)), []
     for a in range(n):
         step, run = q ** (n - 1 - a), q ** (n - a)
-        for shift in (step, -step):  # +e_a, then -e_a
-            if size // run <= step:  # q^a runs against q^(n-1-a) offsets
-                s = shift % run
-                row = chain.from_iterable(
-                    ranks[lo + s:lo + run] + ranks[lo:lo + s] for lo in range(0, size, run)
-                )
-            else:
-                row = [*ranks[shift:], *ranks[:shift]]
-                for o in range(run - step, run) if shift > 0 else range(step):
-                    row[o::run] = ranks[(o + shift) % run::run]
-            rows.append(tuple(row))
+        for s in (step, run - step):  # +e_a, then -e_a
+            cut = (ranks[lo + s:lo + run] + ranks[lo:lo + s] for lo in range(0, q**n, run))
+            rows.append(tuple(chain.from_iterable(cut)))
     return (ranks, *rows)
 
 

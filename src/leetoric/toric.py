@@ -1,15 +1,15 @@
 """Cell structure of the q^n torus and the stabilizer commutation check.
 
 Qubits live on the axis-aligned 2-cells of the periodic q^n cubical complex
-for n >= 3, and on edges in two dimensions (instances.qubit_cell_dim, kept
-there so that report and interleave need not execute this module).  A qubit
-cell's index is its axes block (sorted axes subsets, lexicographic) times
-q^n plus the row-major rank of its lower corner, and cells of every other
-dimension are indexed alike.  One builder, boundary_columns, gives the facets of every d-cell,
-their +e_a corners read off the torus table lee.sphere_shifts.  An X-type
-operator acts on the qubit cells that share a facet (d = k), a Z-type one
-on the boundary of a cell one dimension up (d = k + 1), and commutation is
-dd = 0, checked in plain Python: numpy is never loaded here.
+for n >= 3, and on edges in two dimensions (instances.qubit_cell_dim).  A
+qubit cell's index is its axes block (sorted axes subsets, lexicographic)
+times q^n plus the row-major rank of its lower corner, and cells of every
+other dimension are indexed alike.  One builder, boundary_columns, gives the
+facets of every d-cell, their +e_a corners read off the torus table
+lee.sphere_shifts.  An X-type operator acts on the qubit cells that share a
+facet (d = k), a Z-type one on the boundary of a cell one dimension up
+(d = k + 1), and commutation is dd = 0, checked in plain Python: numpy is
+never loaded here.
 """
 
 from __future__ import annotations

@@ -149,8 +149,8 @@ def test_enumeration_membership_example(code3):
 
 
 def _random_generator_sets():
-    # unreduced entries, some negative, one to three generators per set; the
-    # small tori run the layers' column sums at one and two coordinates
+    # unreduced entries, some negative, one to three generators per set, on
+    # the two certified tori and on small ones down to one coordinate
     rng = random.Random(18)
     for q, n in [(7, 3)] * 10 + [(9, 4)] * 10 + [(2, 1), (3, 1), (2, 2), (4, 3), (6, 2), (8, 1)]:
         count = rng.randint(1, 3)
@@ -163,8 +163,7 @@ ORDER_CASES = [
     (5, 2, ((1, 2),)),
     (7, 3, ((1, 1, 0), (0, 1, 1))),  # the README's failing set
     *_random_generator_sets(),
-    # the smallest torus, one coordinate per column, and a zero generator,
-    # whose sums are all already seen
+    # the smallest torus, and zero generators, whose sums are already seen
     (2, 1, ((1,),)),
     (2, 1, ((0,), (1,))),
     (5, 3, ((0, 0, 0), (1, 2, 3), (0, 0, 0))),
@@ -255,8 +254,7 @@ def test_lee_sphere_frozen_orders():
         lee_sphere(0)
 
 
-# (2, 5), (3, 6) and (11, 2) build rows both ways: runs rotated one by one,
-# and the whole tuple rotated with the wrapped offsets put back
+# (2, 5) and (3, 6) rotate many short runs, (11, 2) few long ones
 @pytest.mark.parametrize("q,n", [(2, 3), (5, 2), (7, 3), (3, 4), (9, 4), (2, 5), (3, 6), (11, 2)])
 def test_sphere_shifts_match_per_point_oracle(q, n):
     table = sphere_shifts(q, n)
