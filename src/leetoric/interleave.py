@@ -66,8 +66,9 @@ class InterleaverMap:
 
     hypercube_rank is the code's placement, computed once in lee, and
     block_of[r] is the constituent code block j * ceil(|C| / q) + i div q of
-    the hypercube r = hypercube_rank[j][i], which owns all its slots.  Both
-    are tuples, so read-only; the forward and inverse dictionaries are built
+    the hypercube r = hypercube_rank[j][i], which owns all its slots; the
+    code's _by_rank spreads it, as it spreads the decode cover.  Both are
+    tuples, so read-only; the forward and inverse dictionaries are built
     from them on first access.  Maps compare by identity.
     """
 
@@ -128,12 +129,9 @@ def build_interleaver(code: LeeCode) -> InterleaverMap:
         raise ValueError("interleaver requires a perfect code")
     q, n = code.q, code.n
     per = math.ceil(len(code.codewords) / q)  # blocks per cross-section
-    block_of = [0] * q**n
-    for j, row in enumerate(hyper):
-        blocks = chain.from_iterable(map(repeat, range(j * per, (j + 1) * per), repeat(q)))
-        for r, b in zip(row, blocks):
-            block_of[r] = b
-    return InterleaverMap(q, n, qubits_per_vertex(n), hyper, tuple(block_of))
+    blocks = (chain.from_iterable(map(repeat, range(j * per, (j + 1) * per), repeat(q)))
+              for j in range(len(hyper)))
+    return InterleaverMap(q, n, qubits_per_vertex(n), hyper, code._by_rank(blocks))
 
 
 def all_burst_translates(q: int, n: int) -> tuple[Vec, ...]:

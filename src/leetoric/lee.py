@@ -7,10 +7,10 @@ perfection means those spheres tile Z_q^n with no gaps and no overlaps.
 
 For a radius-1 code "the spheres tile Z_q^n" and "every point decodes
 uniquely" are one fact, so each code computes one placement (LeeCode.placement)
-on first use.  The tiling check asks whether it exists, the interleaver takes
-its hypercube ranks from it, and a decode reads the rank-indexed cover derived
-from it, whose shared results carry the offset index as cross-section label.
-The first decode of a tiling code also stores the record (cover, q, n) in the
+on first use.  The tiling check asks whether it exists; LeeCode._by_rank
+spreads the interleaver's blocks and the decode cover over Z_q^n through it,
+the cover's shared results carrying the offset index as cross-section label.
+The first decode of a tiling code stores the record (cover, q, n) in the
 code, so a warm decode is one length check, one Horner loop of x % q and one
 cover read; a coordinate that is not an int (a numpy integer, or a float that
 must be refused) is ranked again through operator.index.
@@ -88,15 +88,13 @@ class LeeCode:
             hit[r] = 1
         return None if 0 in hit else rows
 
-    @cached_property
-    def _cover(self) -> tuple[DecodeResult, ...]:
-        # rank -> the DecodeResult placed there; only a tiling code has one
-        cover = [None] * self.q**self.n
-        for j, row in enumerate(self.placement):
-            made = map(tuple.__new__, repeat(DecodeResult), zip(self.codewords, repeat(j)))
-            for r, result in zip(row, made):
-                cover[r] = result
-        return tuple(cover)
+    def _by_rank(self, rows) -> tuple:
+        # rows[j][i] at rank placement[j][i]: one entry per point of a tiling code
+        table = [None] * self.q**self.n
+        for ranks, values in zip(self.placement, rows):
+            for r, value in zip(ranks, values):
+                table[r] = value
+        return tuple(table)
 
 
 class LeeSphere(NamedTuple):
@@ -136,6 +134,8 @@ def _require_points(q: int, n: int) -> None:
     # q**n >= 2**n, so a long n is refused before its power is taken
     if q < 2:
         raise ValueError("modulus must be at least 2")
+    if n < 1:  # q**n would be a float below 1, inside the limit
+        raise ValueError("dimension must be positive")
     if n > MAX_POINTS.bit_length() or q**n > MAX_POINTS:
         raise ValueError(f"{q}^{n} points is over the limit of {MAX_POINTS}")
 
@@ -217,23 +217,31 @@ def decode_nearest(point: Sequence[int], code: LeeCode) -> DecodeResult:
 
     Only defined for perfect codes; anything else raises, because two
     codewords would then compete for (or none would cover) some point.
-    The first decode of a tiling code stores its record (cover, q, n) in the
-    code; a code that does not tile gets none, so every decode re-reads its
-    placement and raises.  A warm decode checks the length, ranks the point
-    with x % q per coordinate and reads the cover.  A rank that comes out as
-    anything but an int, or a TypeError, ArithmeticError or RuntimeWarning
-    in that loop, sends the point through operator.index: numpy integers
-    decode exactly, and a float, a Decimal or a string raises TypeError (an
-    object whose x % q is an int is ranked by that int).  A numpy-array
-    point takes that operator.index path at about twice the cost (3.12 vs
-    1.67 us per (9,4) point), so a caller holding an array passes
-    point.tolist().  All representatives of a point share one immutable
-    result.
+    The first decode of a tiling code builds the cover with code._by_rank
+    and stores the record (cover, q, n) in the code; a code that does not
+    tile gets none, so every decode re-reads its placement and raises.  A
+    warm decode checks the length, ranks the point with x % q per coordinate
+    and reads the cover.  A rank that comes out as anything but an int, or a
+    TypeError, ArithmeticError or RuntimeWarning in that loop, sends the
+    point through operator.index: numpy integers decode exactly, and a
+    float, a Decimal or a string raises TypeError (an object whose x % q is
+    an int is ranked by that int).  A numpy-array point takes that
+    operator.index path at about twice the cost (3.12 vs 1.67 us per (9,4)
+    point), so a caller holding an array passes point.tolist().  All
+    representatives of a point share one immutable result.
     """
     try:
         cover, q, n = code._decoder
     except AttributeError:
-        cover, q, n = _make_decoder(code, point)
+        # a wrong length is refused before the placement is read, as when warm
+        if len(point) != code.n:
+            raise ValueError("dimension mismatch") from None
+        if code.placement is None:
+            raise ValueError("decoding not unique") from None
+        # code only in the outer iterable: named inside, it would be a cell per call
+        rows = (map(tuple.__new__, repeat(DecodeResult), zip(words, repeat(j)))
+                for j, words in enumerate(repeat(code.codewords, 2 * code.n + 1)))
+        cover, q, n = vars(code)["_decoder"] = (code._by_rank(rows), code.q, code.n)
     if len(point) != n:
         raise ValueError("dimension mismatch")
     r = 0
@@ -245,13 +253,3 @@ def decode_nearest(point: Sequence[int], code: LeeCode) -> DecodeResult:
     if type(r) is not int:  # a numpy integer's fixed width could have wrapped
         r = _rank(point, q)
     return cover[r]
-
-
-def _make_decoder(code: LeeCode, point: Sequence[int]) -> tuple:
-    # a wrong length is refused before the placement is read, as when warm
-    if len(point) != code.n:
-        raise ValueError("dimension mismatch") from None
-    if code.placement is None:
-        raise ValueError("decoding not unique") from None
-    record = vars(code)["_decoder"] = (code._cover, code.q, code.n)
-    return record

@@ -211,10 +211,8 @@ def emit_tables(fmt: str) -> str:
         writer.writerows(map(_record, rows))
         return buf.getvalue()
     if fmt == "json-lines":
-        import json
-        return "".join(
-            json.dumps(dict(zip(_CSV_FIELDS, _record(r)))) + "\n" for r in rows
-        )
+        from .cli import _encode  # the one writer of json.dumps's bytes, as for certificates
+        return "".join(_encode(dict(zip(_CSV_FIELDS, _record(r)))) + "\n" for r in rows)
     raise ValueError("unknown format")
 
 

@@ -86,6 +86,7 @@ ARGVS = [
         ["verify", "tiling", "--q", "50", "--n", str(n), "--generators", ",".join(["1"] + ["0"] * (c - 1))]
         for n, c in ((4, 4), (40, 40), (10**7, 1))
     ),
+    ["verify", "tiling", "--q", "7", "--n", "0", "--generators", "1"],
     *(["verify", "stabilizers", "--q", "50", "--n", n] for n in ("4", "40", "100000", "10000000")),
     [*_SAMPLED_9_4, str(10**14)],
     [*_SWEEP, "--q", "7", "--n", "3", "--exhaustive", "--samples", "5"],

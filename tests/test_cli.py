@@ -693,6 +693,42 @@ def test_numpy_free_commands_run_without_numpy(capsys):
         assert out and _without_timestamp(out) == _without_timestamp(normal), argv
 
 
+# Runs in a fresh interpreter where `import numpy` raises ImportError and
+# prints, as a Python literal, each decode refusal as [exception type, text]:
+# a float coordinate at (7,3) on a cold and then on a warm code, then two
+# decodes of a code that does not tile, each with whether a record was stored.
+DECODE_NO_NUMPY_PROBE = """
+import sys
+sys.modules['numpy'] = None
+import leetoric
+
+def refusal(point, code):
+    try:
+        leetoric.decode_nearest(point, code)
+    except (TypeError, ValueError) as exc:
+        return [type(exc).__name__, str(exc)]
+
+code = leetoric.enumerate_codewords(leetoric.code_generators(7, 3), 7, 3)
+out = [refusal((1, 1, 1.0), code)[0]]
+leetoric.decode_nearest((1, 1, 1), code)
+out.append(refusal((1, 1, 1.0), code)[0])
+code = leetoric.enumerate_codewords(((1, 1, 0), (0, 1, 1)), 7, 3)
+for _ in range(2):
+    out.append(refusal((0, 0, 1), code) + ['_decoder' in vars(code)])
+print(out)
+"""
+
+
+def test_decode_refusals_without_numpy():
+    # a float coordinate is a TypeError, not a truncated rank; a code that
+    # does not tile refuses every decode and stores no record
+    proc = run_python("-c", DECODE_NO_NUMPY_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    cold, warm, *not_tiling = ast.literal_eval(proc.stdout)
+    assert cold == warm == "TypeError"
+    assert not_tiling == [["ValueError", "decoding not unique", False]] * 2
+
+
 def certificate_commands() -> list:
     """Every COMMANDS certificate command at both certified instances, with its exit code."""
     commands = [(["verify", "tiling", "--q", "7", "--n", "3", "--generators", "1,1,0;0,1,1"], 1)]
@@ -727,20 +763,18 @@ print(out)
 """
 
 
-def test_only_json_lines_tables_load_json():
-    # a certificate is written without json, and so are the markdown and csv
-    # tables; only the json-lines tables load it
+def test_no_command_loads_json():
+    # certificates and the tables in every format, json-lines included, are
+    # written by cli._encode, so json stays unloaded after every command
     commands = [
         *certificate_commands(),
-        *((["tables", "--format", fmt], 0) for fmt in ("markdown", "csv")),
+        *((["tables", "--format", fmt], 0) for fmt in FORMATS),
     ]
-    json_lines = ["tables", "--format", "json-lines"]
-    args = [" ".join(argv) for argv, _ in commands] + [" ".join(json_lines)]
-    proc = run_python("-c", JSON_PROBE, *args)
+    proc = run_python("-c", JSON_PROBE, *(" ".join(argv) for argv, _ in commands))
     assert proc.returncode == 0, proc.stderr
     after_import, *runs = ast.literal_eval(proc.stdout)
     assert after_import is False
-    assert runs == [[code, False] for _, code in commands] + [[0, True]]
+    assert runs == [[code, False] for _, code in commands]
 
 
 def test_certificate_json_is_json_dumps(capsys, monkeypatch):

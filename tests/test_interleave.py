@@ -215,6 +215,22 @@ def test_all_burst_translates_refuses_an_oversized_torus(q, n):
     assert time.monotonic() - t0 < 1
 
 
+@pytest.mark.parametrize("q,n", [(7, -1), (2, -30), (7, 0)])
+def test_all_burst_translates_refuses_a_non_positive_dimension(q, n):
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        all_burst_translates(q, n)
+
+
+def test_block_of_and_decode_read_one_placement(imap3, code3, imap4, code4, imap52, code52):
+    # hypercube c_i + o_j decodes to (c_i, j) and holds block j * ceil(|C|/q) + i div q
+    for imap, code in ((imap3, code3), (imap4, code4), (imap52, code52)):
+        index = {c: i for i, c in enumerate(code.codewords)}
+        per = -(-len(code.codewords) // imap.q)
+        for r, point in enumerate(all_burst_translates(imap.q, imap.n)):
+            codeword, j = decode_nearest(point, code)
+            assert imap.block_of[r] == j * per + index[codeword] // imap.q
+
+
 def test_every_tile_has_its_cells_in_distinct_blocks(imap3, imap4, imap52):
     # The sampled summary rests on this: two cells of a tile differ by Lee
     # weight at most 2 < 3, so they carry distinct offset labels, hence lie

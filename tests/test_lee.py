@@ -296,6 +296,13 @@ def test_sphere_shifts_refuses_a_modulus_below_two():
         boundary_columns(1, 3, 2)
 
 
+@pytest.mark.parametrize("q,n", [(7, -1), (2, -30), (7, 0)])
+def test_sphere_shifts_refuses_a_non_positive_dimension(q, n):
+    # q**n is then a float below 1, which the size limit alone lets through
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        sphere_shifts(q, n)
+
+
 def test_tiling_certified_codes(code3, code4, code52):
     assert tiling_check(code3)
     assert tiling_check(code4)
@@ -384,7 +391,7 @@ def test_lee_code_equality_is_by_value():
 def test_lee_code_is_immutable_and_a_value():
     code = enumerate_codewords(code_generators(7, 3), 7, 3)
     decode_nearest((1, 1, 1), code)
-    for name in ("q", "codewords", "placement", "_cover", "_decoder"):
+    for name in ("q", "codewords", "placement", "_decoder"):
         with pytest.raises(AttributeError):
             setattr(code, name, None)
         with pytest.raises(AttributeError):
@@ -430,10 +437,10 @@ def test_decode_returns_the_shared_result(code3, code4, code52):
         for point in product(range(q), repeat=n):
             res = decode_nearest(point, code)
             assert type(res) is lee.DecodeResult
-            assert res is code._cover[lee._rank(point, q)]  # the cover's own entry
+            assert res is code._decoder[0][lee._rank(point, q)]  # the cover's own entry
             lift = tuple(x + q * rng.randint(-2, 2) for x in point)
             assert decode_nearest(lift, code) is res
-        assert len(set(map(id, code._cover))) == q**n  # one object per point
+        assert len(set(map(id, code._decoder[0]))) == q**n  # one object per point
 
 
 def test_decode_result_is_immutable(code3):
@@ -608,7 +615,8 @@ def test_decode_record_is_stored_once():
     assert "_decoder" not in vars(code)
     res = decode_nearest((1, 1, 1), code)
     record = vars(code)["_decoder"]
-    assert record == (code._cover, 7, 3) and record[0] is code._cover
+    assert record == (code._decoder[0], 7, 3) and record[0] is code._decoder[0]
+    assert len(record[0]) == 343 and record[0][lee._rank((1, 1, 1), 7)] is res
     assert decode_nearest((8, 8, 8), code) is res
     assert vars(code)["_decoder"] is record
 

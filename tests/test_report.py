@@ -172,6 +172,17 @@ def test_json_lines_round_trip():
     assert parse_tables(text, "json-lines") == rows
 
 
+def test_json_lines_tables_are_json_dumps():
+    # json is the oracle, as for certificates: each line is json.dumps's bytes
+    records = [
+        {"table": r.table, "label": r.label, "n": r.n_code, "k": r.k, "t": r.t,
+         "rate": r.rate_printed, "gain": r.gain_printed,
+         "rate_exact": str(r.rate_exact), "gain_exact": str(r.gain_exact)}
+        for r in table_rows()
+    ]
+    assert emit_tables("json-lines") == "".join(json.dumps(rec) + "\n" for rec in records)
+
+
 def test_unknown_format_rejected():
     with pytest.raises(ValueError, match="unknown format"):
         emit_tables("yaml")
