@@ -28,7 +28,7 @@ _LAZY = {
         " all_burst_translates build_interleaver verify_burst_correction",
         "lattices": "ChainReport IntMatrix coset_count determinant hermite_form verify_chain",
         "lee": "DecodeResult LeeCode LeeSphere decode_nearest enumerate_codewords lee_sphere"
-        " mannheim_weight minimum_distance symmetric_residue tiling_check",
+        " mannheim_weight minimum_distance tiling_check",
         "report": "CodeParams RateGain TableRow emit_tables interleaved_params literature_params"
         " new_code_params parse_tables rate_gain table_rows",
         "toric": "commutation_check",

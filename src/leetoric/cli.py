@@ -98,15 +98,18 @@ def _encode(value) -> str:
 
 
 def _parse_int(text: str) -> int:
+    # a sign and ASCII digits only: int() alone also takes 7_0, " 7" and "\uff17"
     try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"not an integer: {text!r}") from None
+        if text.isascii() and text.lstrip("+-").isdigit():
+            return int(text)
+    except ValueError:  # two signs, or past int's digit limit
+        pass
+    raise ValueError(f"not an integer: {text!r}")
 
 
 def _parse_vector(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(map(_parse_int, text.split(",")))
     except ValueError:
         raise ValueError(f"not a comma-separated integer vector: {text!r}") from None
 
@@ -114,7 +117,7 @@ def _parse_vector(text: str) -> tuple[int, ...]:
 def _parse_generators(text: str) -> tuple[tuple[int, ...], ...]:
     try:
         return tuple(
-            tuple(int(x) for x in chunk.split(",")) for chunk in text.split(";")
+            tuple(map(_parse_int, chunk.split(","))) for chunk in text.split(";")
         )
     except ValueError:
         raise ValueError(f"not a semicolon-separated vector list: {text!r}") from None

@@ -1,9 +1,9 @@
 """Perfect radius-1 Lee-sphere codes in Z_q^n.
 
 Codewords are the additive closure mod q of a handful of generator vectors.
-Distances use the Mannheim weight (sum of absolute symmetric residues), the
-sphere of radius 1 around each codeword is the cross shape {0, +/-e_i}, and
-perfection means those spheres tile Z_q^n with no gaps and no overlaps.
+Distances use the Lee (Mannheim) weight, sum of min(x mod q, -x mod q), at
+every modulus; the radius-1 sphere {0, +/-e_i} has 2n+1 points for q >= 3,
+and perfection means those spheres tile Z_q^n with no gaps and no overlaps.
 
 For a radius-1 code "the spheres tile Z_q^n" and "every point decodes
 uniquely" are one fact, so each code computes one placement (LeeCode.placement)
@@ -77,8 +77,10 @@ class LeeCode:
         unless the spheres tile: |C|(2n+1) = q^n placements on distinct ranks."""
         q, n = self.q, self.n
         _require_points(q, n)
+        if q == 2:
+            raise ValueError("a radius-1 Lee sphere needs q >= 3: +e_i and -e_i coincide mod 2")
         if len(self.codewords) * (2 * n + 1) != q**n:
-            return None  # checked first: at q = 2, n = 20 the table is 41 x 2^20
+            return None  # checked first: at q = 4, n = 10 the table is 21 x 2^20
         ranks = [_rank(c, q) for c in self.codewords]
         # itemgetter of one rank returns the bare item, not a 1-tuple
         take = itemgetter(*ranks) if len(ranks) > 1 else lambda row: (row[ranks[0]],)
@@ -109,17 +111,9 @@ class DecodeResult(NamedTuple):
     offset_index: int
 
 
-def symmetric_residue(x: int, q: int) -> int:
-    """Representative of x mod q in [-(q-1)/2, (q-1)/2], for odd q."""
-    if q < 3 or q % 2 == 0:
-        raise ValueError("symmetric residue undefined")
-    r = x % q
-    return r - q if r > (q - 1) // 2 else r
-
-
 def mannheim_weight(v: Sequence[int], q: int) -> int:
-    """Sum of absolute symmetric residues of the coordinates."""
-    return sum(abs(symmetric_residue(x, q)) for x in v)
+    """Lee weight: each coordinate's distance to 0 on the cycle Z_q, any q >= 2."""
+    return sum(min(x % q, -x % q) for x in v)
 
 
 def _rank(point: Sequence[int], q: int) -> int:
@@ -170,14 +164,15 @@ def enumerate_codewords(generators: Sequence[Sequence[int]], q: int, n: int) -> 
 
 
 def minimum_distance(code: LeeCode) -> int:
-    """Minimum Mannheim weight over the nonzero codewords, by full sweep.
+    """Least nonzero Lee weight over the stored codewords, by full sweep.
 
-    For a group code this equals the minimum pairwise distance.
+    Weight 0 means 0 mod q, so an unreduced word counts as its residue, at
+    every q.  For a group code this equals the minimum pairwise distance.
     """
-    nonzero = [c for c in code.codewords if any(c)]
-    if not nonzero:
+    d = min(filter(None, (mannheim_weight(c, code.q) for c in code.codewords)), default=0)
+    if not d:
         raise ValueError("distance undefined")
-    return min(mannheim_weight(c, code.q) for c in nonzero)
+    return d
 
 
 def lee_sphere(n: int) -> LeeSphere:

@@ -27,6 +27,7 @@ from leetoric.cli import run_cli
 
 _SWEEP = ["interleave", "verify"]
 _SAMPLED_9_4 = [*_SWEEP, "--q", "9", "--n", "4", "--samples"]
+_HAMMING_7_4 = "1,1,0,1,0,0,0;0,1,1,0,1,0,0;0,0,1,1,0,1,0;0,0,0,1,1,0,1"
 
 ARGVS = [
     # every command at both instances, and the forms the README documents
@@ -36,6 +37,7 @@ ARGVS = [
     ["verify", "tiling", "--q", "9", "--n", "4"],
     ["verify", "tiling", "--q", "5", "--n", "2", "--generators", "1,2"],
     ["verify", "tiling", "--q", "7", "--n", "3", "--generators", "1,1,0;0,1,1"],
+    ["verify", "tiling", "--q", "10", "--n", "2", "--generators", "8,1;5,0"],
     ["verify", "stabilizers", "--q", "5", "--n", "2"],
     ["verify", "stabilizers", "--q", "7", "--n", "3"],
     ["verify", "stabilizers", "--q", "3", "--n", "4"],
@@ -67,6 +69,8 @@ ARGVS = [
     ["verify", "chain"],
     ["verify", "chain", "--q", "5"],
     ["verify", "chain", "--q", "x"],
+    ["verify", "stabilizers", "--q", "7_0", "--n", "3"],
+    ["mindist", "--q", " 7", "--n", "3"],
     ["verify", "chain", "--q", "7", "--q", "9"],
     ["verify", "tiling", "--q", "7", "--n", "3", "--gen", "1,1,0;0,1,1"],
     ["verify", "tiling", "--q", "7", "--n", "3", "--generators", "1,x"],
@@ -78,6 +82,7 @@ ARGVS = [
     ["decode", "--q", "7", "--n", "3", "--point"],
     ["decode", "--q", "7", "--n", "3", "--point", "1,1"],
     ["decode", "--q", "7", "--n", "3", "--point", "a,b,c"],
+    ["decode", "--q", "7", "--n", "3", "--point=1_0,2,3"],
     [*_SWEEP, "--q", "7", "--n", "3", "--exhaustive=yes"],
     [*_SWEEP, "--q", "7", "--n", "3", "--exhaustive", "--exhaustive"],
     # refusals with exit 2: the domain
@@ -87,6 +92,8 @@ ARGVS = [
         for n, c in ((4, 4), (40, 40), (10**7, 1))
     ),
     ["verify", "tiling", "--q", "7", "--n", "0", "--generators", "1"],
+    # the [7,4] Hamming code: a radius-1 Lee sphere needs q >= 3
+    ["verify", "tiling", "--q", "2", "--n", "7", "--generators", _HAMMING_7_4],
     *(["verify", "stabilizers", "--q", "50", "--n", n] for n in ("4", "40", "100000", "10000000")),
     [*_SAMPLED_9_4, str(10**14)],
     [*_SWEEP, "--q", "7", "--n", "3", "--exhaustive", "--samples", "5"],

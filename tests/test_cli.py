@@ -132,6 +132,7 @@ def test_verify_stabilizers(capsys):
     for q, n, qubits, generators, incidences in [
         (5, 2, 50, 25, 200),
         (9, 4, 39366, 26244, 629856),
+        (2, 2, 8, 4, 32),  # the tiling refuses q = 2; the stabilizer check does not
     ]:
         argv = ["verify", "stabilizers", "--q", str(q), "--n", str(n)]
         code, cert = run_and_parse(capsys, argv)
@@ -237,6 +238,23 @@ def test_sampled_sweep_seed_defaults_to_zero(capsys):
     code, cert = run_and_parse(capsys, base)
     assert code == 0 and cert["inputs"]["seed"] == cert["counts"]["seed"] == 0
     assert cert["counts"] == run_and_parse(capsys, base + ["--seed", "0"])[1]["counts"]
+
+
+@pytest.mark.parametrize("text,value", [("7", 7), ("+7", 7), ("-3", -3), ("007", 7)])
+def test_integers_read_a_sign_and_ascii_digits(text, value):
+    assert cli._parse_int(text) == value and type(cli._parse_int(text)) is int
+
+
+@pytest.mark.parametrize(
+    "text", ["7_0", " 7", "7 ", "\uff17", "\u0667", "\u00b2", "++7", "+-7", "0x7", "7.0", "", "-"]
+)
+def test_integers_refuse_what_int_alone_would_read(text):
+    with pytest.raises(ValueError, match="^not an integer: "):
+        cli._parse_int(text)
+    with pytest.raises(ValueError, match="^not a comma-separated integer vector: "):
+        cli._parse_vector(f"1,{text},3")
+    with pytest.raises(ValueError, match="^not a semicolon-separated vector list: "):
+        cli._parse_generators(f"1,2;{text}")
 
 
 def test_decode_command(capsys):
@@ -658,7 +676,7 @@ def test_import_leetoric_loads_only_the_code_layer():
     # the tables read the paper's records from report, which takes the qubit
     # counts from instances and needs neither lee, toric nor the interleaver
     assert out["table_rows"] == ["instances", "lattices", "report"]
-    assert out["differ"] == [] and len(leetoric.__all__) == 39
+    assert out["differ"] == [] and len(leetoric.__all__) == 38
 
 
 # Runs each command given as JSON in argv[1] in one interpreter where

@@ -25,7 +25,8 @@ import pytest
 import leetoric
 from leetoric.cli import COMMANDS, FORMATS, run_cli
 
-CORPUS = json.loads(Path(__file__).with_name("cli_corpus.json").read_text())
+CORPUS_TEXT = Path(__file__).with_name("cli_corpus.json").read_text()
+CORPUS = json.loads(CORPUS_TEXT)
 SRC = str(Path(leetoric.__file__).resolve().parents[1])
 
 
@@ -78,3 +79,11 @@ def test_corpus_covers_every_command_at_both_instances():
     formats = {r["argv"][-1] for r in CORPUS if r["argv"][:1] == ["tables"] and r["exit"] == 0}
     assert formats == set(FORMATS)
     assert {r["exit"] for r in CORPUS} == {0, 1, 2}
+
+
+def test_corpus_is_what_the_generator_prints():
+    # with the in-process replay, this proves make_cli_corpus.py prints the file
+    import make_cli_corpus
+
+    assert [r["argv"] for r in CORPUS] == make_cli_corpus.ARGVS
+    assert CORPUS_TEXT == json.dumps(CORPUS, indent=1) + "\n"

@@ -649,7 +649,7 @@ def test_interleaved_params_frozen():
 
 def test_public_surface_leaves_the_oracles_to_the_tests():
     names = leetoric.__all__
-    assert names == sorted(names) and len(names) == 39
+    assert names == sorted(names) and len(names) == 38
     assert all(hasattr(leetoric, name) for name in names)
     moved = {k for k, v in vars(oracles).items() if getattr(v, "__module__", None) == "oracles"}
     assert len(moved) == 25 and not moved & set(names)

@@ -14,6 +14,7 @@ import pytest
 from leetoric import (
     CERTIFIED,
     LeeCode,
+    build_interleaver,
     certified_code,
     code_generators,
     decode_nearest,
@@ -22,7 +23,6 @@ from leetoric import (
     mannheim_weight,
     minimum_distance,
     scaling_matrix,
-    symmetric_residue,
     tiling_check,
 )
 from leetoric import instances
@@ -34,8 +34,8 @@ from oracles import bfs_codewords, position_rank, position_unrank
 
 
 def lee_weight_oracle(v, q):
-    """Per-coordinate minimum-representative weight, no symmetric residues."""
-    return sum(min(x % q, q - x % q) for x in v)
+    """Least |x + kq| over a run of representatives of each coordinate, summed."""
+    return sum(min(abs(x + k * q) for k in range(-abs(x) - 1, abs(x) + 2)) for x in v)
 
 
 def all_pairs_lee_distances(code):
@@ -57,6 +57,22 @@ def shifted_code3():
     return LeeCode(7, 3, code.generators, words)
 
 
+# the [7,4] Hamming code: at q = 2 the Lee weight is the Hamming weight
+HAMMING_7_4 = (
+    (1, 1, 0, 1, 0, 0, 0), (0, 1, 1, 0, 1, 0, 0), (0, 0, 1, 1, 0, 1, 0), (0, 0, 0, 1, 1, 0, 1),
+)
+
+
+def distance_three_codes():
+    """Codes of Lee distance 3 beyond the certified pair: even q, q = 2, unreduced words."""
+    return [
+        enumerate_codewords(((3,),), 6, 1),
+        enumerate_codewords(((8, 1), (5, 0)), 10, 2),
+        shifted_code3(),
+        enumerate_codewords(HAMMING_7_4, 2, 7),
+    ]
+
+
 def golomb_welch_label(point, n):
     """Offset index from the syndrome s = sum i*x_i mod 2n+1: +e_i gives +i."""
     s = sum(i * x for i, x in enumerate(point, start=1)) % (2 * n + 1)
@@ -65,33 +81,13 @@ def golomb_welch_label(point, n):
     return 2 * s - 1 if s <= n else 2 * (2 * n + 1 - s)
 
 
-@pytest.mark.parametrize("x,q,expected", [(4, 7, -3), (0, 9, 0), (6, 9, -3)])
-def test_symmetric_residue_frozen(x, q, expected):
-    assert symmetric_residue(x, q) == expected
-
-
-@pytest.mark.parametrize("q", [3, 5, 7, 9])
-def test_symmetric_residue_range_and_congruence(q):
-    half = (q - 1) // 2
-    for x in range(-2 * q, 3 * q):
-        r = symmetric_residue(x, q)
-        assert -half <= r <= half
-        assert (r - x) % q == 0
-
-
-@pytest.mark.parametrize("q", [1, 2, 4, 10])
-def test_symmetric_residue_undefined_moduli(q):
-    with pytest.raises(ValueError, match="symmetric residue undefined"):
-        symmetric_residue(3, q)
-
-
 def test_mannheim_weight_frozen():
     assert mannheim_weight((1, 0, 2), 7) == 3
     assert mannheim_weight((0, 0, 0), 7) == 0
     assert mannheim_weight((0, 1, 4), 7) == 4
 
 
-@pytest.mark.parametrize("q", [3, 5, 7, 9])
+@pytest.mark.parametrize("q", range(2, 11))
 def test_mannheim_weight_matches_min_representative_oracle(q):
     rng = random.Random(q)
     for _ in range(200):
@@ -213,10 +209,12 @@ def test_enumeration_trivial_and_validation():
 def test_minimum_distance_frozen(code3, code4):
     assert minimum_distance(code3) == 3
     assert minimum_distance(code4) == 3
+    assert [minimum_distance(code) for code in distance_three_codes()] == [3] * 4
+    assert len(enumerate_codewords(HAMMING_7_4, 2, 7).codewords) == 16
 
 
 def test_minimum_distance_matches_all_pairs_oracle(code3, code4):
-    for code in (code3, code4):
+    for code in (code3, code4, *distance_three_codes()):
         arr = np.array(code.codewords, dtype=np.int64)
         diff = (arr[None, :, :] - arr[:, None, :]) % code.q
         lee = np.minimum(diff, code.q - diff).sum(axis=2)
@@ -231,8 +229,11 @@ def test_minimum_distance_unit_generator():
 
 def test_minimum_distance_trivial_code_undefined():
     trivial = enumerate_codewords(((0, 0, 0),), 7, 3)
-    with pytest.raises(ValueError, match="distance undefined"):
-        minimum_distance(trivial)
+    # and codes whose every stored word is 0 mod 7, however it is written
+    zero_words = [((7, -7, 0),), ((0, 0, 0), (14, 0, -7), (7, 7, 7))]
+    for code in (trivial, *(LeeCode(7, 3, ((0, 0, 0),), words) for words in zero_words)):
+        with pytest.raises(ValueError, match="distance undefined"):
+            minimum_distance(code)
 
 
 def test_lee_sphere_frozen_orders():
@@ -320,6 +321,18 @@ def test_one_codeword_code_places_one_tuple_per_row():
     assert code.placement == ((0,), (1,), (2,))
     assert tiling_check(code)
     assert decode_nearest((2,), code) == lee.DecodeResult((0,), 2)
+
+
+@pytest.mark.parametrize("n,generators", [(7, HAMMING_7_4), (3, ((1, 1, 1),))])
+def test_radius_one_spheres_are_refused_at_q_2(n, generators):
+    # +e_i = -e_i mod 2, so a sphere has n + 1 points, not 2n + 1: perfect
+    # binary codes such as [7,4] Hamming would fail the size count, so q = 2 is refused
+    code = enumerate_codewords(generators, 2, n)
+    for use in (tiling_check, lambda c: decode_nearest((0,) * n, c), build_interleaver):
+        with pytest.raises(ValueError, match=r"needs q >= 3: \+e_i and -e_i coincide mod 2"):
+            use(code)
+    assert "_decoder" not in vars(code)
+    assert len(sphere_shifts(2, n)) == 2 * n + 1
 
 
 def test_tiling_rejects_overlapping_code():
@@ -575,9 +588,9 @@ def test_wrong_size_code_is_rejected_before_its_cover(monkeypatch):
     assert not tiling_check(code)
     with pytest.raises(ValueError, match="decoding not unique"):
         decode_nearest((0, 0, 1), code)
-    # 2 * 41 placements on 2^20 points: the 41 x 2^20 table is never built
-    wide = enumerate_codewords(((1,) * 20,), 2, 20)
-    assert len(wide.codewords) == 2
+    # 4 * 21 placements on 4^10 = 2^20 points: the 21 x 2^20 table is never built
+    wide = enumerate_codewords(((1,) * 10,), 4, 10)
+    assert len(wide.codewords) == 4
     assert not tiling_check(wide) and wide.placement is None
 
 
